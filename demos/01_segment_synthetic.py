@@ -12,11 +12,10 @@ import numpy as np
 from ktseg import (
     SynthConfig,
     boundary_metrics,
-    build_variance_table,
-    compute_gram,
     generate,
     solve_auto,
     solve_fixed,
+    stream_scatter,
 )
 
 # A 180-candidate sequence (think: a 3-minute video at one candidate per
@@ -34,15 +33,16 @@ config = SynthConfig(
 instance = generate(config)
 print(f"planted boundaries: {list(instance.true_change_points)}")
 
-# The solver pipeline: Gram matrix -> scatter table -> dynamic program.
-table = build_variance_table(compute_gram(instance.features))
+# The solver pipeline: window scatters, streamed from Gram columns computed
+# block by block, feed an exact dynamic program.
+scatter = stream_scatter(instance.features)
 
 # Fixed segment count, matching the planted one.
-fixed = solve_fixed(table, 5)
+fixed = solve_fixed(scatter, 5)
 print(f"solve_fixed(m=5):   {list(fixed.change_points)}  objective={fixed.objective:.4f}")
 
 # Automatic segment count: the parsimony penalty m*ln(m/n + 1) picks m.
-auto = solve_auto(table, m_max=10, penalty_weight=1.0)
+auto = solve_auto(scatter, m_max=10, penalty_weight=1.0)
 print(
     f"solve_auto(<=10):   {list(auto.change_points)}  "
     f"m={auto.m} objective={auto.objective:.4f} penalty={auto.penalty:.4f}"
@@ -52,5 +52,5 @@ metrics = boundary_metrics(list(fixed.change_points), list(instance.true_change_
 print(f"recovery within +/-2 candidates: F1={metrics.f1:.3f}")
 
 # The objective never increases with more segments; watch it fall.
-objectives = [solve_fixed(table, m).objective for m in range(1, 9)]
+objectives = [solve_fixed(scatter, m).objective for m in range(1, 9)]
 print("objective by m:", np.array2string(np.array(objectives), precision=2))

@@ -13,7 +13,7 @@ import sys
 
 from . import io
 from .errors import KtsError
-from .metrics import boundary_metrics, objective_comparison
+from .metrics import boundary_metrics, compare_to_uniform
 from .oracle import brute_force
 from .sampling import VideoTimeline, plan_samples, uniform_change_points
 from .segmentation import (
@@ -24,6 +24,7 @@ from .segmentation import (
     solve_auto,
     solve_fixed,
     solve_range,
+    stream_scatter,
 )
 from .synth import SynthConfig, generate
 
@@ -139,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_table(parser, features_path, kernel):
-    features = io.read_features(features_path)
-    gram = compute_gram(features, kernel, max_candidates=_candidate_cap(parser))
-    return build_variance_table(gram)
-
-
 def _cmd_segment(parser, args) -> int:
     if args.m is not None and args.auto:
         parser.error("--m and --auto are mutually exclusive")
@@ -152,16 +147,18 @@ def _cmd_segment(parser, args) -> int:
         parser.error("one of --m or --auto is required")
     if args.auto and args.max_segments is None:
         parser.error("--auto requires --max-segments")
-    table = _load_table(parser, args.features, args.kernel)
+    scatter = stream_scatter(
+        io.read_features(args.features), args.kernel, max_candidates=_candidate_cap(parser)
+    )
     if args.auto:
         seg = solve_auto(
-            table,
+            scatter,
             args.max_segments,
             penalty_weight=args.penalty_weight,
             min_segment_length=args.min_seg_len,
         )
     else:
-        seg = solve_fixed(table, args.m, min_segment_length=args.min_seg_len)
+        seg = solve_fixed(scatter, args.m, min_segment_length=args.min_seg_len)
     io.write_segmentation(seg, args.out, kernel=args.kernel.tag)
     print(f"m={seg.m} changePoints={list(seg.change_points)} objective={seg.objective:.17g}")
     return 0
@@ -216,8 +213,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle_check(parser, args) -> int:
-    table = _load_table(parser, args.features, args.kernel)
-    dp = solve_fixed(table, args.m, min_segment_length=args.min_seg_len)
+    features = io.read_features(args.features)
+    cap = _candidate_cap(parser)
+    dp = solve_fixed(
+        stream_scatter(features, args.kernel, max_candidates=cap),
+        args.m,
+        min_segment_length=args.min_seg_len,
+    )
+    table = build_variance_table(compute_gram(features, args.kernel, max_candidates=cap))
     bf = brute_force(table, args.m, min_segment_length=args.min_seg_len)
     same = dp.change_points == bf.change_points and abs(dp.objective - bf.objective) <= 1e-9
     if same:
@@ -252,7 +255,7 @@ def _cmd_sweep(args) -> int:
         truth = list(instance.true_change_points)
         solved = solve_range(table, grid)
         for m, seg in zip(grid, solved):
-            comparison = objective_comparison(table, m)
+            comparison = compare_to_uniform(table, seg)
             kts_f1 = boundary_metrics(list(seg.change_points), truth, args.tolerance).f1
             uni_f1 = boundary_metrics(
                 list(uniform_change_points(args.n, m)), truth, args.tolerance
@@ -295,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
     return 2
 

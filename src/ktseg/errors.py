@@ -10,11 +10,15 @@ class KtsError(Exception):
 
 
 class TooManyCandidatesError(KtsError):
-    """Candidate count exceeds the configured cap (the tables are O(n^2))."""
+    """Candidate count exceeds the configured cap (the exact solve is O(m*n^2) time)."""
 
 
 class ZeroNormRowError(KtsError):
     """Cosine kernel requested but a feature row has zero norm."""
+
+
+class PrecisionLossError(KtsError, FloatingPointError):
+    """Window scatters lost their precision to cancellation (input scale too large)."""
 
 
 class IndexOutOfRangeError(KtsError, IndexError):

@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
 from .sampling import uniform_change_points
-from .segmentation import VarianceTable, placement_objective, solve_fixed
+from .segmentation import Segmentation, VarianceTable, placement_objective, solve_fixed
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,21 @@ class ObjectiveComparison(NamedTuple):
     uniform_objective: float
 
 
-def objective_comparison(table: VarianceTable, m: int) -> ObjectiveComparison:
-    """Optimal objective next to the equal-length split's objective at m.
+def compare_to_uniform(table: VarianceTable, seg: Segmentation) -> ObjectiveComparison:
+    """An optimal segmentation's objective next to the equal-length split's.
 
-    The optimum can never exceed the uniform split (it is one of the
-    placements the solver searches); that is re-checked here and a failure
-    would mean the solver itself is broken.
+    The optimum can never exceed the uniform split at the same segment count
+    (it is one of the placements the solver searches); that is re-checked
+    here and a failure would mean the solver itself is broken.
     """
-    kts = solve_fixed(table, m, min_segment_length=1).objective
-    uniform = placement_objective(table, uniform_change_points(table.n, m))
-    if kts > uniform:
+    uniform = placement_objective(table, uniform_change_points(table.n, seg.m))
+    if seg.objective > uniform:
         raise RuntimeError(
-            f"optimal objective {kts!r} exceeds uniform split {uniform!r}; solver bug"
+            f"optimal objective {seg.objective!r} exceeds uniform split {uniform!r}; solver bug"
         )
-    return ObjectiveComparison(kts_objective=kts, uniform_objective=uniform)
+    return ObjectiveComparison(kts_objective=seg.objective, uniform_objective=uniform)
+
+
+def objective_comparison(table: VarianceTable, m: int) -> ObjectiveComparison:
+    """Optimal objective next to the equal-length split's objective at m."""
+    return compare_to_uniform(table, solve_fixed(table, m, min_segment_length=1))

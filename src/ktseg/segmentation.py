@@ -1,16 +1,23 @@
 """Kernel change-point detection solved exactly by dynamic programming.
 
-The pipeline: feature matrix -> Gram matrix under a chosen kernel ->
-within-segment scatter table (integral-image backed, O(1) per window) ->
-globally optimal change points, either for a fixed segment count or for an
-automatically chosen count under a parsimony penalty.
+The pipeline: feature matrix -> within-segment scatter of every window
+under a chosen kernel -> globally optimal change points, either for a
+fixed segment count or for an automatically chosen count under a
+parsimony penalty.
+
+Two scatter sources feed the one DP, both in column blocks of window end
+indices. ``stream_scatter`` computes Gram columns on the fly and keeps
+O(n) running window masses, so the solve needs O(m*n) memory; it is the
+production path. ``build_variance_table`` materializes every window from a
+dense Gram matrix and an integral image in O(n^2) memory; it is the
+reference that the brute-force oracle and ``placement_objective`` query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,13 +26,21 @@ from .errors import (
     InfeasibleSegmentCountError,
     InvariantViolationError,
     NonPositivePenaltyWeightError,
+    PrecisionLossError,
     TooManyCandidatesError,
     ZeroNormRowError,
 )
 
-#: Default maximum number of candidate frames. The scatter table keeps an
-#: (n+1) x (n+1) integral image of doubles, ~134 MB at this cap.
+#: Default maximum number of candidate frames (~68 min of video at one
+#: candidate per second). The exact solve takes O(m*n^2) time; the dense
+#: reference table additionally holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
+
+#: Bytes of one column block of window scatters, sized to stay cache-resident.
+_BLOCK_BYTES = 4 * 2**20
+
+#: Raw scatters below this mean cancellation has destroyed their precision.
+_PRECISION_FLOOR = -1e-9
 
 _KERNEL_KINDS = ("dot", "cosine", "rbf")
 
@@ -135,31 +150,96 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class VarianceTable:
-    """O(1) within-segment scatter queries over every half-open window.
+    """Dense reference: the clamped scatter of every half-open window.
 
-    diag_prefix[i] holds the running sum of Gram diagonal entries and
-    block_prefix is the 2-D integral image of the Gram matrix, so the
-    scatter of window [a, b) is
+    var_matrix[a, b] holds the scatter of window [a, b), that is
 
-        (diag_prefix[b] - diag_prefix[a]) - block(a, b) / (b - a)
+        (sum of Gram diagonal over [a, b)) - block(a, b) / (b - a)
 
-    with block(a, b) the Gram mass of the window. var_matrix caches the
-    clamped value for every window; single-frame windows are exactly zero.
+    with block(a, b) the Gram mass of the window, for every a < b; single-
+    frame windows are exactly zero. O(n^2) memory, O(1) per query.
     """
 
-    diag_prefix: np.ndarray
-    block_prefix: np.ndarray
     var_matrix: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.diag_prefix.shape[0] - 1
+        return self.var_matrix.shape[0] - 1
 
     def var(self, a: int, b: int) -> float:
         """Clamped scatter of candidate window [a, b)."""
         if not (0 <= a < b <= self.n):
             raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
         return float(self.var_matrix[a, b])
+
+    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Window scatters in column blocks of at most ``width`` end indices.
+
+        Yields (e0, v) for e0 = 1, 1 + width, ...: v[j, t] is the scatter of
+        window [t, e0 + j) for t < e0 + j, with one column per start index
+        t < e1 - 1 (e1 = e0 + len(v)); entries with t >= e0 + j are unspecified.
+        v is a scratch buffer the caller may overwrite; it is reused by the
+        next block.
+        """
+        buf = np.empty(min(width, self.n) * self.n)
+        for e0 in range(1, self.n + 1, width):
+            e1 = min(e0 + width, self.n + 1)
+            v = buf[: (e1 - e0) * (e1 - 1)].reshape(e1 - e0, e1 - 1)
+            np.copyto(v, self.var_matrix[: e1 - 1, e0:e1].T)
+            yield e0, v
+
+
+@dataclass(frozen=True)
+class ScatterStream:
+    """Window scatters computed from the features, one column block at a time.
+
+    For window end e the new Gram column K(s, e-1), s < e-1, comes from one
+    matmul per block, and running window masses follow
+
+        M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(s, e-1) + K(e-1, e-1)
+
+    so the scatter (sum of diagonal over [t, e)) - M(t, e) / (e - t) never
+    needs the Gram matrix: memory is O(n*d) plus one block. ``rows`` holds
+    the kernel's input rows (L2-normalized for cosine).
+    """
+
+    rows: np.ndarray
+    kernel: KernelSpec
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
+
+    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Same contract as :meth:`VarianceTable.blocks`.
+
+        Raises PrecisionLossError when a raw scatter falls below -1e-9.
+        """
+        x, n = self.rows, self.n
+        diag = np.einsum("ij,ij->i", x, x) if self.kernel.kind == "dot" else np.ones(n)
+        prefix = np.zeros(n + 1)
+        np.cumsum(diag, out=prefix[1:])
+        mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
+        for e0 in range(1, n + 1, width):
+            e1 = min(e0 + width, n + 1)
+            cols, ends = e1 - 1, np.arange(e0, e1)
+            # k[j, s] = K(s, e0 + j - 1) for s < e0 + j - 1, else 0.
+            k = np.tril(_kernel_values(x[e0 - 1 : cols], x[:cols], self.kernel), e0 - 2)
+            # Suffix sums over s >= t give the new column's mass per window start.
+            inc = np.cumsum(k[:, ::-1], axis=1)[:, ::-1]
+            inc *= 2.0
+            inc += diag[e0 - 1 : cols, None]
+            inc = np.tril(inc, e0 - 1)
+            inc[0] += mass[:cols]
+            np.cumsum(inc, axis=0, out=inc)  # inc[j, t] = M(t, e0 + j)
+            mass[:cols] = inc[-1]
+            inc /= np.maximum(ends[:, None] - np.arange(cols), 1)
+            raw = np.tril(np.subtract.outer(prefix[e0:e1], prefix[:cols]) - inc, e0 - 1)
+            _check_precision(raw)
+            np.maximum(raw, 0.0, out=raw)
+            # A single frame has zero scatter by definition; pin it exactly.
+            raw[ends - e0, ends - 1] = 0.0
+            yield e0, raw
 
 
 @dataclass(frozen=True)
@@ -212,6 +292,60 @@ class Segmentation:
         return tuple(zip(bounds[:-1], bounds[1:]))
 
 
+def _kernel_rows(
+    features: FeatureSequence, kernel: KernelSpec, max_candidates: int
+) -> np.ndarray:
+    """The rows the kernel compares, after the candidate cap and row checks."""
+    if features.n > max_candidates:
+        raise TooManyCandidatesError(
+            f"{features.n} candidate frames exceed the cap of {max_candidates}; "
+            "the exact solve takes O(m*n^2) time (raise the cap explicitly to proceed)"
+        )
+    x = features.values
+    if kernel.kind != "cosine":
+        return x
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
+    return x / norms[:, None]
+
+
+def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """K(a, b) for every row a of xa and b of xb, off the prepared rows."""
+    g = xa @ xb.T
+    if kernel.kind == "rbf":
+        sqa = np.einsum("ij,ij->i", xa, xa)
+        sqb = sqa if xb is xa else np.einsum("ij,ij->i", xb, xb)
+        d2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * g, 0.0)
+        g = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
+    return g
+
+
+def _check_precision(raw: np.ndarray) -> None:
+    worst = raw.min()
+    if worst < _PRECISION_FLOOR:
+        raise PrecisionLossError(
+            f"scatter table lost precision (raw minimum {worst:.3e}); "
+            "rescale the features closer to unit magnitude"
+        )
+
+
+def stream_scatter(
+    features: FeatureSequence,
+    kernel: KernelSpec | None = None,
+    max_candidates: int = DEFAULT_CANDIDATE_CAP,
+) -> ScatterStream:
+    """Scatter source for the solvers in O(m*n) memory; no Gram matrix is formed.
+
+    Raises TooManyCandidatesError above ``max_candidates`` frames and
+    ZeroNormRowError when the cosine kernel meets an all-zero row; the
+    solvers raise PrecisionLossError as in :func:`build_variance_table`.
+    """
+    kernel = kernel if kernel is not None else KernelSpec()
+    return ScatterStream(rows=_kernel_rows(features, kernel, max_candidates), kernel=kernel)
+
+
 def compute_gram(
     features: FeatureSequence,
     kernel: KernelSpec | None = None,
@@ -223,68 +357,56 @@ def compute_gram(
     ZeroNormRowError when the cosine kernel meets an all-zero row.
     """
     kernel = kernel if kernel is not None else KernelSpec()
-    if features.n > max_candidates:
-        raise TooManyCandidatesError(
-            f"{features.n} candidate frames exceed the cap of {max_candidates}; "
-            "the scatter table needs O(n^2) memory (raise the cap explicitly to proceed)"
-        )
-    x = features.values
-    if kernel.kind == "dot":
-        g = x @ x.T
-    elif kernel.kind == "cosine":
-        norms = np.linalg.norm(x, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
-        xn = x / norms[:, None]
-        g = xn @ xn.T
-    else:
-        sq = np.einsum("ij,ij->i", x, x)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-        g = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    # Mirror the upper triangle so symmetry holds bit-for-bit.
-    g = np.triu(g) + np.triu(g, 1).T
+    x = _kernel_rows(features, kernel, max_candidates)
+    g = _kernel_values(x, x, kernel)
+    # Mirror the upper triangle in place so symmetry holds bit-for-bit.
+    for i in range(1, g.shape[0]):
+        g[i, :i] = g[:i, i]
     if kernel.kind != "dot":
         np.fill_diagonal(g, 1.0)
     return GramMatrix(entries=g)
 
 
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
-    """Precompute prefix sums and the clamped scatter of every window.
+    """The clamped scatter of every window, from diagonal and 2-D prefix sums.
 
-    O(n^2) time and memory. Raw scatters may dip a hair below zero from
-    cancellation in the prefix sums; anything below -1e-9 means the input
-    scale has destroyed the table's precision and is rejected outright.
+    O(n^2) time; besides the Gram matrix, memory is the returned table plus
+    one row block. Raw scatters may dip a hair below zero from cancellation
+    in the prefix sums; anything below -1e-9 means the input scale has
+    destroyed the table's precision and raises PrecisionLossError.
     """
     g = gram.entries
     n = gram.n
     diag_prefix = np.zeros(n + 1)
     diag_prefix[1:] = np.cumsum(np.diagonal(g))
-    block_prefix = np.zeros((n + 1, n + 1))
-    block_prefix[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
-
-    bpd = np.ascontiguousarray(np.diagonal(block_prefix))
-    block = ((bpd[None, :] - block_prefix) - block_prefix.T) + bpd[:, None]
+    # out starts as the integral image, out[a, b] = sum of g[:a, :b] ...
+    out = np.zeros((n + 1, n + 1))
+    column_sums = np.zeros(n)
+    for a in range(1, n + 1):
+        column_sums += g[a - 1]
+        np.cumsum(column_sums, out=out[a, 1:])
+    # ... and is overwritten by scatter rows top to bottom. Row a needs
+    # out[a, b] and out[b, a] for b > a only, which later rows still hold.
+    bpd = out.diagonal().copy()
     idx = np.arange(n + 1)
-    length = idx[None, :] - idx[:, None]
-    valid = length >= 1
-    raw = np.where(
-        valid,
-        (diag_prefix[None, :] - diag_prefix[:, None]) - block / np.where(valid, length, 1),
-        0.0,
-    )
-    worst = raw.min()
-    if worst < -1e-9:
-        raise FloatingPointError(
-            f"scatter table lost precision (raw minimum {worst:.3e}); "
-            "rescale the features closer to unit magnitude"
+    width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
+    for a0 in range(0, n + 1, width):
+        a1 = min(a0 + width, n + 1)
+        transposed = out[:, a0:a1].T.copy()
+        block = ((bpd[None, :] - out[a0:a1]) - transposed) + bpd[a0:a1, None]
+        length = idx[None, :] - idx[a0:a1, None]
+        valid = length >= 1
+        out[a0:a1] = np.where(
+            valid,
+            (diag_prefix[None, :] - diag_prefix[a0:a1, None]) - block / np.where(valid, length, 1),
+            0.0,
         )
-    var_matrix = np.maximum(raw, 0.0)
+    _check_precision(out)
+    var_matrix = np.maximum(out, 0.0, out=out)
     # A single frame has zero scatter by definition; pin it exactly.
-    var_matrix[length == 1] = 0.0
-    for arr in (diag_prefix, block_prefix, var_matrix):
-        arr.setflags(write=False)
-    return VarianceTable(diag_prefix=diag_prefix, block_prefix=block_prefix, var_matrix=var_matrix)
+    var_matrix[idx[:-1], idx[1:]] = 0.0
+    var_matrix.setflags(write=False)
+    return VarianceTable(var_matrix=var_matrix)
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
@@ -314,35 +436,42 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
         )
 
 
-def _solve_rows(table: VarianceTable, m_max: int, min_len: int):
+def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     """Fill DP rows 1..m_max of best-cost prefixes plus argmin backpointers.
 
-    cost[i][j] is the optimal scatter of splitting [0, j) into i segments
-    of length >= min_len (inf when infeasible); back[i][j] the leftmost
-    argmin start of the last segment. Window costs are laid out with j as
-    the leading axis so every reduction streams over contiguous memory.
+    cost[i][e] is the optimal scatter of splitting [0, e) into i segments
+    of length >= min_len (inf when infeasible); back[i][e] the leftmost
+    argmin start of the last segment. One sweep over blocks of end indices
+    e fills every row for the block before moving on: row i needs row i-1
+    only at starts t <= e - min_len, which earlier blocks or this block's
+    previous row already hold. Each row touches only its feasible cells,
+    ends e >= i*min_len and starts (i-1)*min_len <= t <= e - min_len.
     """
     n = table.n
-    idx = np.arange(n + 1)
-    allowed = (idx[:, None] - idx[None, :]) >= min_len
-    masked = np.where(allowed, table.var_matrix.T, np.inf)  # [j, t] -> var(t, j)
-
     cost = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
-    cost[1] = masked[:, 0]
-    # Work in j-blocks small enough to stay cache-resident; the add/argmin
-    # pair then streams masked exactly once per DP row.
-    block = max(4 * 2**20 // (8 * (n + 1)), 1)
-    cand = np.empty((block, n + 1))
-    for i in range(2, m_max + 1):
-        prev = cost[i - 1][None, :]
-        for j0 in range(0, n + 1, block):
-            j1 = min(j0 + block, n + 1)
-            width = j1 - j0
-            np.add(prev, masked[j0:j1], out=cand[:width])
-            best = np.argmin(cand[:width], axis=1)
-            back[i, j0:j1] = best
-            cost[i, j0:j1] = cand[np.arange(width), best]
+    # Blocks small enough to stay cache-resident; the add/argmin pair then
+    # streams each block once per DP row.
+    width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
+    cand = np.empty(min(width, n) * n)
+    for e0, var in table.blocks(width):
+        e1 = e0 + var.shape[0]
+        stop = e1 - min_len  # feasible starts of the block's last end lie below
+        if stop <= 0:
+            continue
+        var = var[:, :stop]
+        var[np.arange(stop) > np.arange(e0 - min_len, e1 - min_len)[:, None]] = np.inf
+        cost[1, e0:e1] = var[:, 0]
+        for i in range(2, m_max + 1):
+            lo_e, lo_t = max(e0, i * min_len), (i - 1) * min_len
+            if lo_e >= e1:
+                break
+            v = var[lo_e - e0 :, lo_t:]
+            c = cand[: v.size].reshape(v.shape)
+            np.add(cost[i - 1, lo_t:stop], v, out=c)
+            best = c.argmin(axis=1)
+            back[i, lo_e:e1] = best + lo_t
+            cost[i, lo_e:e1] = c[np.arange(len(best)), best]
     return cost, back
 
 
@@ -356,7 +485,9 @@ def _backtrack(back: np.ndarray, m: int, n: int) -> tuple[int, ...]:
     return tuple(cps)
 
 
-def solve_fixed(table: VarianceTable, m: int, min_segment_length: int = 1) -> Segmentation:
+def solve_fixed(
+    table: VarianceTable | ScatterStream, m: int, min_segment_length: int = 1
+) -> Segmentation:
     """Globally optimal segmentation into exactly m segments.
 
     Exact dynamic program over cost[i][j] = min_t cost[i-1][t] + var(t, j),
@@ -376,7 +507,7 @@ def solve_fixed(table: VarianceTable, m: int, min_segment_length: int = 1) -> Se
 
 
 def solve_auto(
-    table: VarianceTable,
+    table: VarianceTable | ScatterStream,
     m_max: int,
     penalty_weight: float = 1.0,
     min_segment_length: int = 1,
@@ -412,7 +543,7 @@ def solve_auto(
 
 
 def solve_range(
-    table: VarianceTable,
+    table: VarianceTable | ScatterStream,
     m_values: Iterable[int],
     min_segment_length: int = 1,
 ) -> list[Segmentation]:

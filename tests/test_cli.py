@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from ktseg import FeatureSequence, SynthConfig, cli, generate
+from ktseg.io import write_features
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BLOCKS_CSV = "1,0\n1,0\n0,1\n0,1\n"
@@ -92,6 +95,28 @@ def test_segment_candidate_cap_env(blocks_csv, tmp_path):
     )
     assert res.returncode == 1
     assert "cap" in res.stderr
+
+
+def test_segment_precision_loss_is_a_one_line_error(tmp_path):
+    instance = generate(SynthConfig(n=200, d=16, segment_count=8, mean_separation=0.15,
+                                    noise_sigma=0.03, seed=0, min_segment_length=12))
+    path = tmp_path / "offset.csv"
+    write_features(FeatureSequence(values=instance.features.values + 1000.0), path)
+    res = run_cli("segment", "--features", path, "--m", 8, "--out", tmp_path / "x.json")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "precision" in lines[0]
+
+
+def test_memory_exhaustion_is_a_one_line_error(blocks_csv, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stream_scatter", exhausted)
+    argv = ["segment", "--features", str(blocks_csv), "--m", "2", "--out", str(tmp_path / "x.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory in segment"]
 
 
 def test_segment_kernel_flag(blocks_csv, tmp_path):
@@ -203,6 +228,14 @@ def test_oracle_check_match(blocks_csv):
     res = run_cli("oracle-check", "--features", blocks_csv, "--m", 2)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("MATCH")
+
+
+def test_oracle_check_constant_features_take_leftmost(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text("3,3\n" * 7)
+    res = run_cli("oracle-check", "--features", path, "--m", 3)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "MATCH m=3 changePoints=[1, 2] objective=0\n"
 
 
 def test_sweep_dominance(tmp_path):

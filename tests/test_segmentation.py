@@ -1,6 +1,8 @@
-"""Core solver tests: Gram matrices, the scatter table, and both DP solves."""
+"""Core solver tests: Gram matrices, both scatter sources, and the DP solves."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from ktseg import (
     InfeasibleSegmentCountError,
     InvariantViolationError,
     KernelSpec,
+    KtsError,
     NonPositivePenaltyWeightError,
+    PrecisionLossError,
     Segmentation,
     TooManyCandidatesError,
     ZeroNormRowError,
@@ -25,7 +29,9 @@ from ktseg import (
     solve_auto,
     solve_fixed,
     solve_range,
+    stream_scatter,
 )
+from ktseg import segmentation
 
 TWO_BLOCKS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 STEPS_1D = [[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]
@@ -77,13 +83,18 @@ def test_gram_cosine_rejects_zero_rows():
     feats = FeatureSequence(values=[[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ZeroNormRowError, match="row 1"):
         compute_gram(feats, KernelSpec(kind="cosine"))
+    with pytest.raises(ZeroNormRowError, match="row 1"):
+        stream_scatter(feats, KernelSpec(kind="cosine"))
 
 
 def test_gram_candidate_cap():
     feats = FeatureSequence(values=np.ones((5, 2)))
     with pytest.raises(TooManyCandidatesError):
         compute_gram(feats, max_candidates=4)
+    with pytest.raises(TooManyCandidatesError):
+        stream_scatter(feats, max_candidates=4)
     compute_gram(feats, max_candidates=5)
+    stream_scatter(feats, max_candidates=5)
 
 
 def test_gram_rbf_entries_in_unit_interval():
@@ -177,6 +188,52 @@ def test_table_matches_direct_gram_evaluation(kernel):
         for b in range(a + 1, 26, 4):
             expected = gram_window_scatter(gram.entries, a, b)
             assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+def test_precision_loss_raises_from_both_sources():
+    feats = FeatureSequence(values=np.random.default_rng(9).standard_normal((40, 4)) + 1e4)
+    with pytest.raises(PrecisionLossError) as dense:
+        build_variance_table(compute_gram(feats))
+    with pytest.raises(PrecisionLossError):
+        solve_fixed(stream_scatter(feats), 2)
+    assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
+
+
+# ---------------------------------------------------------------------------
+# Streaming source against the dense reference
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    min_len=st.integers(1, 4),
+    # 8 bytes forces one end index per block; 512 a few per block at these n.
+    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+)
+@settings(max_examples=120, deadline=None)
+def test_stream_matches_dense_reference(seed, kernel, min_len, block_bytes):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(min_len, 40))
+    feats = FeatureSequence(values=rng.standard_normal((n, int(rng.integers(1, 6)))))
+    ms = range(1, n // min_len + 1)
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+        streamed = solve_range(stream_scatter(feats, kernel), ms, min_len)
+        dense = solve_range(build_variance_table(compute_gram(feats, kernel)), ms, min_len)
+    for got, want in zip(streamed, dense):
+        assert got.change_points == want.change_points
+        assert abs(got.objective - want.objective) <= 1e-9
+
+
+def test_streaming_solve_holds_less_than_one_dense_array():
+    feats = FeatureSequence(values=np.random.default_rng(12).standard_normal((3000, 8)))
+    tracemalloc.start()
+    try:
+        seg = solve_fixed(stream_scatter(feats), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seg.m == 8
+    assert peak < 3001**2 * 8, f"streaming solve peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
