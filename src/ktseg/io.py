@@ -352,8 +352,6 @@ def read_boundaries(path: str | Path) -> list[int]:
     """Boundary list from either a segmentation or a ground-truth document."""
     doc = _load_json(path)
     schema = doc.get("schema")
-    if schema == SEGMENTATION_SCHEMA:
-        return _int_list(doc, "changePoints", path)
-    if schema == TRUTH_SCHEMA:
+    if schema in (SEGMENTATION_SCHEMA, TRUTH_SCHEMA):
         return _int_list(doc, "changePoints", path)
     raise SchemaMismatchError(f"{path}: schema {schema!r} carries no boundaries")

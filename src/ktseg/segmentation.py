@@ -11,6 +11,16 @@ O(n) running window masses, so the solve needs O(m*n) memory; it is the
 production path. ``build_variance_table`` materializes every window from a
 dense Gram matrix and an integral image in O(n^2) memory; it is the
 reference that the brute-force oracle and ``placement_objective`` query.
+Dot-kernel features are centred by their column mean first: the scatter
+is translation invariant, and centring keeps features far from the origin
+from cancelling away its precision.
+
+The DP takes O(m*n^2) time in the worst case. It skips segment starts
+that can no longer win (inequality pruning, as in SNIP): the kernel
+scatter is superadditive, var(t, e') >= var(t, e) + var(e, e') for
+t < e < e', so once start t at end e costs more than start e does, start e
+beats t at every later end. Pruning never changes the optimum or its
+leftmost tie-breaks.
 """
 
 from __future__ import annotations
@@ -32,8 +42,9 @@ from .errors import (
 )
 
 #: Default maximum number of candidate frames (~68 min of video at one
-#: candidate per second). The exact solve takes O(m*n^2) time; the dense
-#: reference table additionally holds (n+1)^2 doubles, ~134 MB at this cap.
+#: candidate per second). The exact solve takes O(m*n^2) time in the worst
+#: case, less where pruning drops dominated starts, and O(m*n) memory; the
+#: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
 #: Bytes of one column block of window scatters, sized to stay cache-resident.
@@ -157,10 +168,12 @@ class VarianceTable:
         (sum of Gram diagonal over [a, b)) - block(a, b) / (b - a)
 
     with block(a, b) the Gram mass of the window, for every a < b; single-
-    frame windows are exactly zero. O(n^2) memory, O(1) per query.
+    frame windows are exactly zero. O(n^2) memory, O(1) per query. trace
+    is the sum of the Gram diagonal, the scale of every scatter.
     """
 
     var_matrix: np.ndarray
+    trace: float
 
     @property
     def n(self) -> int:
@@ -200,7 +213,7 @@ class ScatterStream:
 
     so the scatter (sum of diagonal over [t, e)) - M(t, e) / (e - t) never
     needs the Gram matrix: memory is O(n*d) plus one block. ``rows`` holds
-    the kernel's input rows (L2-normalized for cosine).
+    the kernel's input rows (centred for dot, L2-normalized for cosine).
     """
 
     rows: np.ndarray
@@ -210,13 +223,22 @@ class ScatterStream:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def trace(self) -> float:
+        """Sum of the kernel diagonal, the scale of every scatter."""
+        return float(self._diagonal().sum())
+
+    def _diagonal(self) -> np.ndarray:
+        x = self.rows
+        return np.einsum("ij,ij->i", x, x) if self.kernel.kind == "dot" else np.ones(self.n)
+
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
         """Same contract as :meth:`VarianceTable.blocks`.
 
         Raises PrecisionLossError when a raw scatter falls below -1e-9.
         """
         x, n = self.rows, self.n
-        diag = np.einsum("ij,ij->i", x, x) if self.kernel.kind == "dot" else np.ones(n)
+        diag = self._diagonal()
         prefix = np.zeros(n + 1)
         np.cumsum(diag, out=prefix[1:])
         mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
@@ -295,14 +317,21 @@ class Segmentation:
 def _kernel_rows(
     features: FeatureSequence, kernel: KernelSpec, max_candidates: int
 ) -> np.ndarray:
-    """The rows the kernel compares, after the candidate cap and row checks."""
+    """The rows the kernel compares, after the candidate cap and row checks.
+
+    Dot-kernel rows are centred by their column mean. The scatter is
+    translation invariant, and centred rows keep the Gram entries near the
+    scatter's own magnitude, so a large offset cannot cancel it away.
+    """
     if features.n > max_candidates:
         raise TooManyCandidatesError(
             f"{features.n} candidate frames exceed the cap of {max_candidates}; "
             "the exact solve takes O(m*n^2) time (raise the cap explicitly to proceed)"
         )
     x = features.values
-    if kernel.kind != "cosine":
+    if kernel.kind == "dot":
+        return x - x.mean(axis=0)
+    if kernel.kind == "rbf":
         return x
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
@@ -353,8 +382,11 @@ def compute_gram(
 ) -> GramMatrix:
     """Kernel values for every frame pair, accumulated in float64.
 
-    Raises TooManyCandidatesError above ``max_candidates`` frames and
-    ZeroNormRowError when the cosine kernel meets an all-zero row.
+    The dot kernel is taken between rows centred by their column mean, so
+    these are the Gram entries of the centred features; the scatters built
+    from them are those of the raw features. Raises TooManyCandidatesError
+    above ``max_candidates`` frames and ZeroNormRowError when the cosine
+    kernel meets an all-zero row.
     """
     kernel = kernel if kernel is not None else KernelSpec()
     x = _kernel_rows(features, kernel, max_candidates)
@@ -406,7 +438,7 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     # A single frame has zero scatter by definition; pin it exactly.
     var_matrix[idx[:-1], idx[1:]] = 0.0
     var_matrix.setflags(write=False)
-    return VarianceTable(var_matrix=var_matrix)
+    return VarianceTable(var_matrix=var_matrix, trace=float(diag_prefix[-1]))
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
@@ -445,11 +477,31 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     e fills every row for the block before moving on: row i needs row i-1
     only at starts t <= e - min_len, which earlier blocks or this block's
     previous row already hold. Each row touches only its feasible cells,
-    ends e >= i*min_len and starts (i-1)*min_len <= t <= e - min_len.
+    ends e >= i*min_len and starts lo[i] <= t <= e - min_len.
+
+    lo[i] starts at (i-1)*min_len and only grows. After each block but the
+    last, row i compares its starts at end e = e1 - min_len, the last end
+    whose verdict holds for every end of the next block: a start t with
+    cost[i-1][t] + var(t, e) > cost[i-1][e] + margin loses to start e at
+    every end e' >= e + min_len, because var(t, e') >= var(t, e) +
+    var(e, e'). lo[i] skips the leading run of such starts. The margin
+    covers rounding, so ties are never pruned and cost and back equal
+    those of the unpruned sweep bit for bit. O(m*n^2) time in the worst case.
     """
     n = table.n
     cost = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
+    lo = np.arange(-1, m_max) * min_len
+    # The margin bounds rounding. Superadditivity holds for exact scatters;
+    # each one either source yields is within r = 4*(n+1)^2*eps*trace of
+    # exact: the integral image and the running masses add at most 2n
+    # terms whose magnitudes total at most n*trace, and a window of two or
+    # more frames divides that error by its length (single frames are
+    # pinned to 0). Costs and scatters stay below 2*trace, so each of the
+    # three additions behind one comparison rounds by at most 2*eps*trace.
+    # 3r plus those roundings leaves over 3*(n+1)^2*eps*trace of the margin
+    # for the kernel values' own rounding, about 2*d*eps*trace per scatter.
+    margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
     # Blocks small enough to stay cache-resident; the add/argmin pair then
     # streams each block once per DP row.
     width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
@@ -463,7 +515,7 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
         var[np.arange(stop) > np.arange(e0 - min_len, e1 - min_len)[:, None]] = np.inf
         cost[1, e0:e1] = var[:, 0]
         for i in range(2, m_max + 1):
-            lo_e, lo_t = max(e0, i * min_len), (i - 1) * min_len
+            lo_e, lo_t = max(e0, i * min_len), lo[i]
             if lo_e >= e1:
                 break
             v = var[lo_e - e0 :, lo_t:]
@@ -472,6 +524,10 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
             best = c.argmin(axis=1)
             back[i, lo_e:e1] = best + lo_t
             cost[i, lo_e:e1] = c[np.arange(len(best)), best]
+            if e1 <= n and stop >= lo_e:
+                # stop == e1 - min_len is the end e of the rule above.
+                beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
+                lo[i] += beaten.argmin() if not beaten.all() else beaten.size
     return cost, back
 
 
@@ -491,7 +547,9 @@ def solve_fixed(
     """Globally optimal segmentation into exactly m segments.
 
     Exact dynamic program over cost[i][j] = min_t cost[i-1][t] + var(t, j),
-    O(m n^2) time; ties take the smallest t at every cell, which makes the
+    O(m n^2) time in the worst case; starts t that some later start beats
+    at every remaining end, by the superadditivity of the scatter, are
+    skipped. Ties take the smallest t at every cell, which makes the
     result deterministic and comparable against exhaustive enumeration.
     """
     _check_feasible(table.n, m, min_segment_length)
@@ -514,15 +572,20 @@ def solve_auto(
 ) -> Segmentation:
     """Segmentation with the segment count chosen by penalized selection.
 
-    Shares one DP sweep up to m_max, then picks the m in [1, m_max]
+    Shares one pruned DP sweep (see :func:`solve_fixed`; O(m_max n^2) time
+    in the worst case) up to m_max, then picks the m in [1, m_max]
     minimizing objective(m) + weight * m * ln(m/n + 1); equal totals go to
-    the smaller m. The returned objective excludes the penalty, which is
-    reported separately.
+    the smaller m. m_max above n // min_segment_length, the most segments
+    that fit, is lowered to it, so one m_max serves inputs of any length.
+    The returned objective excludes the penalty, which is reported
+    separately.
     """
     if not (penalty_weight > 0) or not math.isfinite(penalty_weight):
         raise NonPositivePenaltyWeightError(f"penalty weight must be positive, got {penalty_weight}")
-    _check_feasible(table.n, m_max, min_segment_length)
     n = table.n
+    _check_feasible(n, 1, min_segment_length)
+    m_max = min(m_max, n // min_segment_length)
+    _check_feasible(n, m_max, min_segment_length)
     cost, back = _solve_rows(table, m_max, min_segment_length)
     best_m = 1
     best_total = math.inf

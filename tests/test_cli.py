@@ -63,6 +63,14 @@ def test_segment_auto(blocks_csv, tmp_path):
     assert doc["penalty"] == pytest.approx(0.810930216, abs=1e-9)
 
 
+def test_segment_auto_max_segments_above_n(blocks_csv, tmp_path):
+    out = tmp_path / "seg.json"
+    res = run_cli("segment", "--features", blocks_csv, "--auto", "--max-segments", 9, "--out", out)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(out.read_text())
+    assert doc["m"] == 2 and doc["changePoints"] == [2]
+
+
 def test_segment_mode_conflict(blocks_csv, tmp_path):
     res = run_cli(
         "segment", "--features", blocks_csv, "--m", 2, "--auto",
@@ -100,8 +108,8 @@ def test_segment_candidate_cap_env(blocks_csv, tmp_path):
 def test_segment_precision_loss_is_a_one_line_error(tmp_path):
     instance = generate(SynthConfig(n=200, d=16, segment_count=8, mean_separation=0.15,
                                     noise_sigma=0.03, seed=0, min_segment_length=12))
-    path = tmp_path / "offset.csv"
-    write_features(FeatureSequence(values=instance.features.values + 1000.0), path)
+    path = tmp_path / "scaled.csv"
+    write_features(FeatureSequence(values=instance.features.values * 1e4), path)
     res = run_cli("segment", "--features", path, "--m", 8, "--out", tmp_path / "x.json")
     assert res.returncode == 1
     assert "Traceback" not in res.stderr

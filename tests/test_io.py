@@ -20,6 +20,7 @@ from ktseg import (
 )
 from ktseg.io import (
     GroundTruth,
+    read_boundaries,
     read_features,
     read_plan,
     read_segmentation,
@@ -224,6 +225,17 @@ def test_truth_round_trip(tmp_path):
     assert read_truth(path) == truth
     text = path.read_text()
     assert '"schema": "kts-truth/1"' in text
+
+
+def test_read_boundaries_from_segmentation_or_truth(tmp_path):
+    seg_path, truth_path, plan_path = tmp_path / "seg.json", tmp_path / "truth.json", tmp_path / "plan.json"
+    write_segmentation(Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0), seg_path)
+    write_truth(GroundTruth(n=20, change_points=(4, 11), seed=77), truth_path)
+    write_plan(make_plan(), plan_path)
+    assert read_boundaries(seg_path) == [2, 4]
+    assert read_boundaries(truth_path) == [4, 11]
+    with pytest.raises(SchemaMismatchError, match="carries no boundaries"):
+        read_boundaries(plan_path)
 
 
 def test_write_errors_carry_path_context(tmp_path):

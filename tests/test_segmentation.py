@@ -19,11 +19,13 @@ from ktseg import (
     NonPositivePenaltyWeightError,
     PrecisionLossError,
     Segmentation,
+    SynthConfig,
     TooManyCandidatesError,
     ZeroNormRowError,
     brute_force,
     build_variance_table,
     compute_gram,
+    generate,
     placement_objective,
     segment_count_penalty,
     solve_auto,
@@ -58,8 +60,9 @@ def gram_window_scatter(gram, a, b):
 
 
 def test_gram_orthonormal_rows():
+    # The dot kernel compares rows centred by their column mean [0.5, 0.5].
     g = compute_gram(FeatureSequence(values=[[1.0, 0.0], [0.0, 1.0]]))
-    assert g.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert g.entries.tolist() == [[0.5, -0.5], [-0.5, 0.5]]
 
 
 def test_gram_cosine_self_similarity():
@@ -69,8 +72,8 @@ def test_gram_cosine_self_similarity():
 
 def test_gram_duplicated_rows_block_structure():
     g = compute_gram(FeatureSequence(values=TWO_BLOCKS))
-    expected = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
-    assert g.entries.tolist() == expected
+    expected = [[1, 1, -1, -1], [1, 1, -1, -1], [-1, -1, 1, 1], [-1, -1, 1, 1]]
+    assert (2.0 * g.entries).tolist() == expected
 
 
 def test_gram_is_exactly_symmetric():
@@ -191,7 +194,7 @@ def test_table_matches_direct_gram_evaluation(kernel):
 
 
 def test_precision_loss_raises_from_both_sources():
-    feats = FeatureSequence(values=np.random.default_rng(9).standard_normal((40, 4)) + 1e4)
+    feats = FeatureSequence(values=np.random.default_rng(9).standard_normal((40, 4)) * 1e4)
     with pytest.raises(PrecisionLossError) as dense:
         build_variance_table(compute_gram(feats))
     with pytest.raises(PrecisionLossError):
@@ -222,6 +225,67 @@ def test_stream_matches_dense_reference(seed, kernel, min_len, block_bytes):
     for got, want in zip(streamed, dense):
         assert got.change_points == want.change_points
         assert abs(got.objective - want.objective) <= 1e-9
+
+
+class RecordedWidth:
+    """Scatter source wrapper that remembers the block width the DP asked for."""
+
+    def __init__(self, source):
+        self.source, self.n, self.trace = source, source.n, source.trace
+
+    def blocks(self, width):
+        self.width = width
+        return self.source.blocks(width)
+
+
+def full_square_rows(source, m_max, min_len, width):
+    """Reference DP: every start at every end, over the source's own blocks."""
+    n = source.n
+    var = np.full((n + 1, n + 1), np.inf)  # var[t, e]; inf where t > e - min_len
+    for e0, v in source.blocks(width):
+        for j, row in enumerate(v):
+            k = max(e0 + j - min_len + 1, 0)
+            var[:k, e0 + j] = row[:k]
+    cost = np.full((m_max + 1, n + 1), np.inf)
+    back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
+    cost[1] = var[0]
+    for i in range(2, m_max + 1):
+        for e in range(n + 1):
+            cand = cost[i - 1] + var[:, e]
+            back[i, e] = np.argmin(cand)
+            cost[i, e] = cand[back[i, e]]
+    return cost, back
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["planted", "constant", "noise"]),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    dense=st.booleans(),
+    min_len=st.integers(1, 4),
+    # 8 bytes forces one end index per block; 2048 a few per block at these n.
+    block_bytes=st.sampled_from([8, 2048, 4 * 2**20]),
+)
+@settings(max_examples=150, deadline=None)
+def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min_len, block_bytes):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
+    if shape == "constant":
+        values = np.full((n, d), rng.normal())
+    else:
+        values = rng.normal(scale=0.5 if shape == "noise" else 0.1, size=(n, d))
+        if shape == "planted":
+            labels = np.sort(rng.integers(0, 6, n))
+            values += rng.normal(scale=3.0, size=(6, d))[labels]
+    feats = FeatureSequence(values=values)
+    source = build_variance_table(compute_gram(feats, kernel)) if dense else stream_scatter(feats, kernel)
+    recorded = RecordedWidth(source)
+    m_max = int(rng.integers(1, n // min_len + 1))
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+        cost, back = segmentation._solve_rows(recorded, m_max, min_len)
+    want_cost, want_back = full_square_rows(source, m_max, min_len, recorded.width)
+    assert np.array_equal(cost, want_cost)
+    assert np.array_equal(back, want_back)
 
 
 def test_streaming_solve_holds_less_than_one_dense_array():
@@ -343,6 +407,17 @@ def test_solve_auto_rejects_bad_weight():
             solve_auto(table, 2, penalty_weight=weight)
 
 
+def test_solve_auto_clamps_m_max_to_what_fits():
+    rng = np.random.default_rng(24)
+    source = stream_scatter(FeatureSequence(values=rng.standard_normal((20, 3))))
+    assert solve_auto(source, 32) == solve_auto(source, 20)
+    assert solve_auto(source, 32, min_segment_length=3) == solve_auto(source, 6, min_segment_length=3)
+    with pytest.raises(InfeasibleSegmentCountError):
+        solve_auto(source, 0)
+    with pytest.raises(InfeasibleSegmentCountError):
+        solve_auto(source, 4, min_segment_length=21)
+
+
 def test_solve_auto_penalty_fields():
     rng = np.random.default_rng(23)
     table = table_for(rng.standard_normal((12, 2)))
@@ -389,6 +464,22 @@ def test_objective_monotone_and_floor(seed):
     for prev, nxt in zip(objectives[:-1], objectives[1:]):
         assert nxt <= prev + 1e-9
     assert objectives[-1] == 0.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16),
+)
+@settings(max_examples=25, deadline=None)
+def test_change_points_invariant_under_constant_shift(seed, shift):
+    # Acceptance-style instance; features far from the origin used to
+    # cancel the dot-kernel scatter away.
+    values = generate(SynthConfig(n=200, d=16, segment_count=8, mean_separation=0.15,
+                                  noise_sigma=0.03, seed=seed, min_segment_length=12)).features.values
+    shifted = FeatureSequence(values=values + np.asarray(shift))
+    base = FeatureSequence(values=values)
+    assert solve_fixed(stream_scatter(shifted), 8).change_points == solve_fixed(stream_scatter(base), 8).change_points
+    assert solve_fixed(table_for(shifted.values), 8).change_points == solve_fixed(table_for(values), 8).change_points
 
 
 def test_scale_equivariance_exact_power_of_two():
