@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import (
     InvariantViolationError,
     MalformedHeaderError,
@@ -28,6 +29,8 @@ from .errors import (
 )
 from .sampling import SamplingPlan, SegmentSamples
 from .segmentation import FeatureSequence, Segmentation
+
+np = lazy_numpy()
 
 SEGMENTATION_SCHEMA = "kts-segmentation/1"
 PLAN_SCHEMA = "kts-plan/1"
@@ -76,9 +79,9 @@ def _render(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         x = float(value)
         if not math.isfinite(x):
             raise InvariantViolationError("JSON documents cannot carry non-finite reals")
@@ -108,6 +111,8 @@ def render_document(doc: dict) -> str:
 def _load_json(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise SchemaMismatchError(f"{path}: not UTF-8 text, so not a JSON document") from None
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -162,42 +167,66 @@ def write_features(features: FeatureSequence, path: str | Path) -> None:
 
 
 def _read_features_csv(path: Path) -> FeatureSequence:
+    """Parse with numpy's C reader; re-read token by token when it fails.
+
+    ``np.loadtxt`` rounds correctly, like ``float()``, so the two readers
+    give the same bits wherever both accept the text. The token reader
+    runs when loadtxt refuses the text, finds no rows or meets a
+    non-finite value: it alone skips whitespace-only lines, accepts every
+    ``float()`` literal (such as ``1_0``) and names the row and column of
+    a bad value. Both read UTF-8 with an optional BOM.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # also UnicodeDecodeError, reported by the token reader
+        values = None
+    if values is None or not values.size or not np.isfinite(values).all():
+        values = _read_features_csv_tokens(path)
+    return FeatureSequence(values=values)
+
+
+def _read_features_csv_tokens(path: Path) -> list[list[float]]:
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise MalformedHeaderError(f"{path}: not UTF-8 text, so not a feature CSV") from None
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise RaggedRowsError(
-                    f"{path}: row {lineno} has {len(tokens)} values, expected {width}"
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(",")]
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise RaggedRowsError(
+                f"{path}: row {lineno} has {len(tokens)} values, expected {width}"
+            )
+        parsed = []
+        for col, token in enumerate(tokens, start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                hint = (
+                    "; feature CSV is headerless, remove the header row"
+                    if lineno == 1
+                    else ""
                 )
-            parsed = []
-            for col, token in enumerate(tokens, start=1):
-                try:
-                    value = float(token)
-                except ValueError:
-                    hint = (
-                        "; feature CSV is headerless, remove the header row"
-                        if lineno == 1
-                        else ""
-                    )
-                    raise MalformedHeaderError(
-                        f"{path}: unparseable value {token!r} at row {lineno}, column {col}{hint}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonFiniteValueError(
-                        f"{path}: non-finite value at row {lineno}, column {col}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+                raise MalformedHeaderError(
+                    f"{path}: unparseable value {token!r} at row {lineno}, column {col}{hint}"
+                ) from None
+            if not math.isfinite(value):
+                raise NonFiniteValueError(
+                    f"{path}: non-finite value at row {lineno}, column {col}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise MalformedHeaderError(f"{path}: no feature rows")
-    return FeatureSequence(values=np.array(rows, dtype=np.float64))
+    return rows
 
 
 def _read_features_binary(path: Path) -> FeatureSequence:

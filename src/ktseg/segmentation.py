@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import (
     IndexOutOfRangeError,
     InfeasibleSegmentCountError,
@@ -40,6 +39,8 @@ from .errors import (
     TooManyCandidatesError,
     ZeroNormRowError,
 )
+
+np = lazy_numpy()
 
 #: Default maximum number of candidate frames (~68 min of video at one
 #: candidate per second). The exact solve takes O(m*n^2) time in the worst

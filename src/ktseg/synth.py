@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import InfeasibleConfigError
 from .segmentation import FeatureSequence
+
+np = lazy_numpy()
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _BOUNDARY_SALT = 0x424F554E44

@@ -143,6 +143,67 @@ def test_segment_deterministic_output(blocks_csv, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("segment", "--features", "{csv}", "--m", 2, "--out", "{out}"),
+        ("plan", "--segmentation", "{json}", "--k", 2, "--duration", 4.0, "--fps", 30,
+         "--rate", 1, "--out", "{out}"),
+        ("eval", "--pred", "{json}", "--truth", "{json}"),
+    ],
+    ids=["segment", "plan", "eval"],
+)
+def test_non_utf8_input_is_a_one_line_error(tmp_path, command):
+    paths = {"csv": tmp_path / "renamed.csv", "json": tmp_path / "doc.json", "out": tmp_path / "o"}
+    paths["csv"].write_bytes(b"KTSF\x01\x00\x00\x00\xff\xfe\x00\x00")
+    paths["json"].write_bytes(b'{"schema": "\xff"}\n')
+    res = run_cli(*(str(arg).format(**paths) for arg in command))
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not UTF-8" in lines[0]
+    assert str(tmp_path) in lines[0]
+
+
+# Runs one CLI command in a fresh interpreter and reports whether numpy was
+# imported after ``import ktseg.cli`` and after the command (the lazily
+# installed module has no submodules until numpy really loads).
+NUMPY_PROBE = """
+import sys
+from ktseg import cli
+def numpy_loaded():
+    return any(name.startswith("numpy.") for name in sys.modules)
+after_import = numpy_loaded()
+code = cli.main(sys.argv[1:])
+print(after_import, code, numpy_loaded())
+"""
+
+
+def probe_numpy(*args):
+    env = os.environ.copy()
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *map(str, args)], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1]
+
+
+def test_numpy_loads_only_where_features_are_touched(tmp_path):
+    features = generate(
+        SynthConfig(n=60, d=4, segment_count=3, mean_separation=2.0, noise_sigma=0.3, seed=5)
+    ).features
+    write_features(features, tmp_path / "feats.csv")
+    seg_lazy, seg_eager = tmp_path / "lazy.json", tmp_path / "eager.json"
+    segment = ("segment", "--features", tmp_path / "feats.csv", "--auto", "--max-segments", 6)
+    assert probe_numpy(*segment, "--out", seg_lazy) == "False 0 True"
+    assert cli.main([*map(str, segment), "--out", str(seg_eager)]) == 0  # numpy already loaded
+    assert seg_lazy.read_bytes() == seg_eager.read_bytes()
+    plan = ("plan", "--segmentation", seg_lazy, "--k", 2, "--duration", 60, "--fps", 25,
+            "--rate", 1, "--out", tmp_path / "plan.json")
+    assert probe_numpy(*plan) == "False 0 False"
+    assert probe_numpy("eval", "--pred", seg_lazy, "--truth", seg_eager) == "False 0 False"
+
+
 # ---------------------------------------------------------------------------
 # plan
 

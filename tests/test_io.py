@@ -1,6 +1,8 @@
 """File-format tests: feature matrices, segmentations, plans, ground truth."""
 
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ktseg import (
 )
 from ktseg.io import (
     GroundTruth,
+    _read_features_csv_tokens,
     read_boundaries,
     read_features,
     read_plan,
@@ -80,6 +83,83 @@ def test_csv_round_trip(tmp_path):
     write_features(FeatureSequence(values=values), path)
     back = read_features(path)
     assert np.array_equal(back.values, values)
+
+
+def test_csv_bom_reads_like_plain_file(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("0.5,-1\n2,3e-7\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_features(bom).values.tolist() == read_features(plain).values.tolist()
+    # The token reader strips the BOM too.
+    bom.write_bytes(b"\xef\xbb\xbf1_0,2\n")
+    assert read_features(bom).values.tolist() == [[10.0, 2.0]]
+
+
+def test_csv_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_bytes(b"KTSF\x01\x00\x00\x00\xff\xfe")
+    with pytest.raises(MalformedHeaderError, match="feats.csv: not UTF-8"):
+        read_features(path)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b" 1.5 , 2 \n 3 ,4\n", [[1.5, 2.0], [3.0, 4.0]]),
+        (b"1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (b"1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        (b"1,2,3\n", [[1.0, 2.0, 3.0]]),
+        (b"1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+        (b"1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (b"1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (b"1_0,2\n", [[10.0, 2.0]]),
+    ],
+    ids=["spaces", "crlf", "no-final-newline", "one-row", "one-column", "blank-line",
+         "whitespace-line", "underscore"],
+)
+def test_csv_edge_inputs_match_token_reader(tmp_path, data, expected):
+    path = tmp_path / "feats.csv"
+    path.write_bytes(data)
+    assert read_features(path).values.tolist() == expected
+    assert _read_features_csv_tokens(path) == expected
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", " \n"])
+def test_csv_without_rows_warns_nothing(tmp_path, text):
+    path = tmp_path / "feats.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedHeaderError, match="no feature rows"):
+            read_features(path)
+
+
+def test_csv_non_finite_after_blank_line_names_file_line(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("1,0\n\n0,nan\n")
+    with pytest.raises(NonFiniteValueError, match="row 3, column 2"):
+        read_features(path)
+
+
+finite_bit_patterns = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
+)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(finite_bit_patterns, min_size=d, max_size=d), min_size=1, max_size=5)
+))
+@settings(max_examples=150, deadline=None)
+def test_csv_fast_reader_is_bit_identical_to_token_reader(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("bits") / "feats.csv"
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+    expected = np.array(rows, dtype=np.float64).view(np.uint64)
+    assert np.array_equal(read_features(path).values.view(np.uint64), expected)
+    assert np.array_equal(np.array(_read_features_csv_tokens(path)).view(np.uint64), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +337,12 @@ def test_no_temp_files_left_behind(tmp_path):
 def test_render_document_rejects_non_finite():
     with pytest.raises(InvariantViolationError):
         render_document({"x": float("inf")})
+
+
+def test_render_document_numpy_scalars_match_builtins():
+    as_numpy = {"i": np.int64(-7), "f32": np.float32(0.1), "f64": np.float64(1 / 3)}
+    as_builtin = {"i": -7, "f32": float(np.float32(0.1)), "f64": 1 / 3}
+    assert render_document(as_numpy) == render_document(as_builtin)
 
 
 # ---------------------------------------------------------------------------
