@@ -233,7 +233,8 @@ def _cmd_oracle_check(parser, args) -> int:
     return 1
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(parser, args) -> int:
+    cap = _candidate_cap(parser)
     grid = []
     for div in SWEEP_DIVISORS:
         m = max(args.n // div, 1)
@@ -251,7 +252,7 @@ def _cmd_sweep(args) -> int:
             min_segment_length=args.min_seg_len,
         )
         instance = generate(config)
-        table = build_variance_table(compute_gram(instance.features))
+        table = build_variance_table(compute_gram(instance.features, max_candidates=cap))
         truth = list(instance.true_change_points)
         solved = solve_range(table, grid)
         for m, seg in zip(grid, solved):
@@ -291,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle-check":
             return _cmd_oracle_check(parser, args)
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _cmd_sweep(parser, args)
         parser.error(f"unknown command {args.command!r}")
     except KtsError as exc:
         print(f"error: {exc}", file=sys.stderr)

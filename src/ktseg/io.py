@@ -292,12 +292,6 @@ def read_segmentation(path: str | Path) -> Segmentation:
     )
 
 
-def read_segmentation_kernel(path: str | Path) -> str:
-    """The kernel tag stored alongside a segmentation document."""
-    doc = _load_json(path)
-    return str(_require(doc, "kernel", str, path))
-
-
 # ---------------------------------------------------------------------------
 # Sampling-plan documents.
 

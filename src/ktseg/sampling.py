@@ -117,6 +117,18 @@ class SamplingPlan:
         return [f for seg in self.segments for f in seg.source_frames]
 
 
+def _candidate_count(timeline: VideoTimeline, rate_per_second: float) -> int:
+    if not (rate_per_second > 0) or not math.isfinite(rate_per_second):
+        raise NonPositiveRateError(f"candidate rate must be positive, got {rate_per_second}")
+    return max(int(math.floor(timeline.duration_seconds * rate_per_second - 1e-9)) + 1, 1)
+
+
+def _candidate(j: int, timeline: VideoTimeline, rate_per_second: float) -> Candidate:
+    ts = j / rate_per_second
+    frame = min(max(int(math.floor(ts * timeline.source_fps + 0.5)), 0), timeline.frame_count - 1)
+    return Candidate(index=j, timestamp=ts, source_frame=frame)
+
+
 def candidate_timestamps(timeline: VideoTimeline, rate_per_second: float) -> list[Candidate]:
     """Place candidates at j / rate seconds and map them to source frames.
 
@@ -124,37 +136,8 @@ def candidate_timestamps(timeline: VideoTimeline, rate_per_second: float) -> lis
     nearest-integer (half away from zero) frame at that timestamp, clamped
     into the timeline. At least one candidate (j = 0) is always produced.
     """
-    if not (rate_per_second > 0) or not math.isfinite(rate_per_second):
-        raise NonPositiveRateError(f"candidate rate must be positive, got {rate_per_second}")
-    last = int(math.floor(timeline.duration_seconds * rate_per_second - 1e-9))
-    count = max(last + 1, 1)
-    out = []
-    for j in range(count):
-        ts = j / rate_per_second
-        frame = int(math.floor(ts * timeline.source_fps + 0.5))
-        frame = min(max(frame, 0), timeline.frame_count - 1)
-        out.append(Candidate(index=j, timestamp=ts, source_frame=frame))
-    return out
-
-
-def _sample_bounds(
-    bounds: tuple[tuple[int, int], ...],
-    k: int,
-    candidates: list[Candidate],
-) -> SamplingPlan:
-    segments = []
-    for a, b in bounds:
-        length = b - a
-        picks = tuple(a + ((2 * i + 1) * length) // (2 * k) for i in range(k))
-        segments.append(
-            SegmentSamples(
-                candidate_range=(a, b),
-                sampled_candidates=picks,
-                source_frames=tuple(candidates[c].source_frame for c in picks),
-                source_timestamps=tuple(candidates[c].timestamp for c in picks),
-            )
-        )
-    return SamplingPlan(k=k, segments=tuple(segments))
+    count = _candidate_count(timeline, rate_per_second)
+    return [_candidate(j, timeline, rate_per_second) for j in range(count)]
 
 
 def plan_samples(
@@ -167,17 +150,30 @@ def plan_samples(
 
     Sample i of a segment [a, b) of length L is candidate
     a + floor((i + 0.5) * L / k); segments shorter than k candidates repeat
-    indices so the m x k shape always holds downstream.
+    indices so the m x k shape always holds downstream. After the candidate
+    count check, only the m*k picked candidates are placed on the timeline.
     """
     if k < 1:
         raise NonPositiveKError(f"frames per segment must be >= 1, got {k}")
-    candidates = candidate_timestamps(timeline, rate_per_second)
-    if len(candidates) != segmentation.n:
+    count = _candidate_count(timeline, rate_per_second)
+    if count != segmentation.n:
         raise CandidateCountMismatchError(
             f"segmentation covers {segmentation.n} candidates but the timeline at "
-            f"rate {rate_per_second}/s yields {len(candidates)}"
+            f"rate {rate_per_second}/s yields {count}"
         )
-    return _sample_bounds(segmentation.segment_bounds(), k, candidates)
+    segments = []
+    for a, b in segmentation.segment_bounds():
+        picks = tuple(a + ((2 * i + 1) * (b - a)) // (2 * k) for i in range(k))
+        cands = [_candidate(c, timeline, rate_per_second) for c in picks]
+        segments.append(
+            SegmentSamples(
+                candidate_range=(a, b),
+                sampled_candidates=picks,
+                source_frames=tuple(c.source_frame for c in cands),
+                source_timestamps=tuple(c.timestamp for c in cands),
+            )
+        )
+    return SamplingPlan(k=k, segments=tuple(segments))
 
 
 def uniform_change_points(n: int, m: int) -> tuple[int, ...]:
@@ -194,16 +190,6 @@ def uniform_plan(
     timeline: VideoTimeline,
     rate_per_second: float,
 ) -> SamplingPlan:
-    """The uniform-sampling baseline: equal-length segments, same sampler."""
-    if k < 1:
-        raise NonPositiveKError(f"frames per segment must be >= 1, got {k}")
-    cps = uniform_change_points(n, m)
-    candidates = candidate_timestamps(timeline, rate_per_second)
-    if len(candidates) != n:
-        raise CandidateCountMismatchError(
-            f"requested {n} candidates but the timeline at rate {rate_per_second}/s "
-            f"yields {len(candidates)}"
-        )
-    bounds_seq = (0, *cps, n)
-    bounds = tuple(zip(bounds_seq[:-1], bounds_seq[1:]))
-    return _sample_bounds(bounds, k, candidates)
+    """The uniform-sampling baseline: plan_samples on equal-length segments."""
+    uniform = Segmentation(n=n, m=m, change_points=uniform_change_points(n, m), objective=0.0)
+    return plan_samples(uniform, k, timeline, rate_per_second)

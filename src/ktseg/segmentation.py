@@ -48,8 +48,9 @@ np = lazy_numpy()
 #: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
-#: Bytes of one column block of window scatters, sized to stay cache-resident.
-_BLOCK_BYTES = 4 * 2**20
+#: Bytes of one column block of window scatters, sized to stay cache-resident;
+#: each DP row also evaluates ~_BLOCK_BYTES/16 cells past its blocks' diagonals.
+_BLOCK_BYTES = 2 * 2**20
 
 #: Raw scatters below this mean cancellation has destroyed their precision.
 _PRECISION_FLOOR = -1e-9
@@ -59,14 +60,9 @@ _KERNEL_KINDS = ("dot", "cosine", "rbf")
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """n frame descriptors of dimension d, optionally timestamped in seconds.
-
-    Values are held as a read-only float64 matrix; timestamps, when given,
-    must be strictly increasing with one entry per frame.
-    """
+    """n frame descriptors of dimension d, held as a read-only float64 matrix."""
 
     values: np.ndarray
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -78,14 +74,6 @@ class FeatureSequence:
             raise InvariantViolationError("feature values must all be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps, dtype=np.float64)
-            if ts.shape != (values.shape[0],):
-                raise InvariantViolationError("timestamps must have one entry per frame")
-            if not np.isfinite(ts).all() or (np.diff(ts) <= 0.0).any():
-                raise InvariantViolationError("timestamps must be finite and strictly increasing")
-            ts.setflags(write=False)
-            object.__setattr__(self, "timestamps", ts)
 
     @property
     def n(self) -> int:
@@ -140,20 +128,14 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise kernel values between all candidate frames; exactly symmetric."""
+    """Pairwise kernel values between all candidate frames; compute_gram builds it symmetric."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.entries, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-            raise InvariantViolationError(f"Gram matrix must be square and nonempty, got {g.shape}")
-        if not np.isfinite(g).all():
-            raise InvariantViolationError("Gram matrix entries must be finite")
-        if not np.array_equal(g, g.T):
-            raise InvariantViolationError("Gram matrix must be exactly symmetric")
-        g.setflags(write=False)
-        object.__setattr__(self, "entries", g)
+        shape = self.entries.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise InvariantViolationError(f"Gram matrix must be square and nonempty, got {shape}")
 
     @property
     def n(self) -> int:
@@ -293,15 +275,11 @@ class Segmentation:
             raise InvariantViolationError(
                 f"expected {self.m - 1} change points for m={self.m}, got {len(self.change_points)}"
             )
-        bounds = (0, *self.change_points, self.n)
-        for a, b in zip(bounds[:-1], bounds[1:]):
+        for a, b in self.segment_bounds():
             if b - a < self.min_segment_length:
                 raise InvariantViolationError(
                     f"segment [{a}, {b}) shorter than minimum length {self.min_segment_length}"
                 )
-        for t in self.change_points:
-            if not (1 <= t <= self.n - 1):
-                raise InvariantViolationError(f"change point {t} outside [1, {self.n - 1}]")
         if not math.isfinite(self.objective) or self.objective < 0:
             raise InvariantViolationError("objective must be finite and nonnegative")
         if not math.isfinite(self.penalty) or self.penalty < 0:
@@ -322,7 +300,9 @@ def _kernel_rows(
 
     Dot-kernel rows are centred by their column mean. The scatter is
     translation invariant, and centred rows keep the Gram entries near the
-    scatter's own magnitude, so a large offset cannot cancel it away.
+    scatter's own magnitude, so a large offset cannot cancel it away. Raises
+    PrecisionLossError unless 4*n*sum ||x||^2, a bound on every kernel value,
+    window mass and prefix sum, is finite (for cosine: unless every norm is).
     """
     if features.n > max_candidates:
         raise TooManyCandidatesError(
@@ -330,11 +310,18 @@ def _kernel_rows(
             "the exact solve takes O(m*n^2) time (raise the cap explicitly to proceed)"
         )
     x = features.values
-    if kernel.kind == "dot":
-        return x - x.mean(axis=0)
-    if kernel.kind == "rbf":
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.kind == "dot":
+            x = x - x.mean(axis=0)
+        norms = np.linalg.norm(x, axis=1) if kernel.kind == "cosine" else None
+        bound = norms.max() if norms is not None else 4.0 * len(x) * np.einsum("ij,ij->", x, x)
+    if not np.isfinite(bound):
+        raise PrecisionLossError(
+            f"kernel values overflow float64 (bound {bound:.3e}); "
+            "rescale the features closer to unit magnitude"
+        )
+    if norms is None:
         return x
-    norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
@@ -354,7 +341,7 @@ def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec) -> np.nda
 
 def _check_precision(raw: np.ndarray) -> None:
     worst = raw.min()
-    if worst < _PRECISION_FLOOR:
+    if not worst >= _PRECISION_FLOOR:  # NaN fails too
         raise PrecisionLossError(
             f"scatter table lost precision (raw minimum {worst:.3e}); "
             "rescale the features closer to unit magnitude"
@@ -397,6 +384,7 @@ def compute_gram(
         g[i, :i] = g[:i, i]
     if kernel.kind != "dot":
         np.fill_diagonal(g, 1.0)
+    g.setflags(write=False)
     return GramMatrix(entries=g)
 
 
@@ -404,9 +392,10 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     """The clamped scatter of every window, from diagonal and 2-D prefix sums.
 
     O(n^2) time; besides the Gram matrix, memory is the returned table plus
-    one row block. Raw scatters may dip a hair below zero from cancellation
-    in the prefix sums; anything below -1e-9 means the input scale has
-    destroyed the table's precision and raises PrecisionLossError.
+    one row block. Windows read a Gram block only through its diagonal and
+    sum, so a non-symmetric input counts as its symmetric part. Raw scatters
+    may dip a hair below zero from cancellation in the prefix sums; below
+    -1e-9 the input scale has destroyed their precision: PrecisionLossError.
     """
     g = gram.entries
     n = gram.n
@@ -532,14 +521,20 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     return cost, back
 
 
-def _backtrack(back: np.ndarray, m: int, n: int) -> tuple[int, ...]:
-    cps = []
-    j = n
+def _segmentation(n: int, m: int, cost, back, min_len: int, **penalty) -> Segmentation:
+    """The optimal split of [0, n) into m segments, read back from the DP rows."""
+    cps, j = [], n
     for i in range(m, 1, -1):
         j = int(back[i, j])
         cps.append(j)
-    cps.reverse()
-    return tuple(cps)
+    return Segmentation(
+        n=n,
+        m=m,
+        change_points=cps[::-1],
+        objective=float(cost[m, n]),
+        min_segment_length=min_len,
+        **penalty,
+    )
 
 
 def solve_fixed(
@@ -555,14 +550,7 @@ def solve_fixed(
     """
     _check_feasible(table.n, m, min_segment_length)
     cost, back = _solve_rows(table, m, min_segment_length)
-    cps = _backtrack(back, m, table.n)
-    return Segmentation(
-        n=table.n,
-        m=m,
-        change_points=cps,
-        objective=float(cost[m, table.n]),
-        min_segment_length=min_segment_length,
-    )
+    return _segmentation(table.n, m, cost, back, min_segment_length)
 
 
 def solve_auto(
@@ -588,21 +576,11 @@ def solve_auto(
     m_max = min(m_max, n // min_segment_length)
     _check_feasible(n, m_max, min_segment_length)
     cost, back = _solve_rows(table, m_max, min_segment_length)
-    best_m = 1
-    best_total = math.inf
-    for m in range(1, m_max + 1):
-        total = float(cost[m, n]) + segment_count_penalty(m, n, penalty_weight)
-        if total < best_total:
-            best_total = total
-            best_m = m
-    return Segmentation(
-        n=n,
-        m=best_m,
-        change_points=_backtrack(back, best_m, n),
-        objective=float(cost[best_m, n]),
-        penalty=segment_count_penalty(best_m, n, penalty_weight),
-        penalty_weight=penalty_weight,
-        min_segment_length=min_segment_length,
+    penalties = [segment_count_penalty(m, n, penalty_weight) for m in range(1, m_max + 1)]
+    totals = [float(cost[m, n]) + p for m, p in enumerate(penalties, start=1)]
+    m = 1 + totals.index(min(totals))
+    return _segmentation(
+        n, m, cost, back, min_segment_length, penalty=penalties[m - 1], penalty_weight=penalty_weight
     )
 
 
@@ -618,13 +596,4 @@ def solve_range(
     for m in ms:
         _check_feasible(table.n, m, min_segment_length)
     cost, back = _solve_rows(table, max(ms), min_segment_length)
-    return [
-        Segmentation(
-            n=table.n,
-            m=m,
-            change_points=_backtrack(back, m, table.n),
-            objective=float(cost[m, table.n]),
-            min_segment_length=min_segment_length,
-        )
-        for m in ms
-    ]
+    return [_segmentation(table.n, m, cost, back, min_segment_length) for m in ms]

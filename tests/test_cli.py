@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ktseg import FeatureSequence, SynthConfig, cli, generate
-from ktseg.io import write_features
+from ktseg import FeatureSequence, Segmentation, SynthConfig, cli, generate, sampling
+from ktseg.io import write_features, write_segmentation
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -115,6 +116,17 @@ def test_segment_precision_loss_is_a_one_line_error(tmp_path):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "precision" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["segment", "oracle-check"])
+def test_kernel_overflow_is_a_one_line_error(tmp_path, command):
+    path = tmp_path / "huge.csv"
+    write_features(FeatureSequence(values=np.random.default_rng(5).standard_normal((14, 4)) * 1e200), path)
+    out = ["--out", tmp_path / "x.json"] if command == "segment" else []
+    res = run_cli(command, "--features", path, "--m", 2, *out)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
 def test_memory_exhaustion_is_a_one_line_error(blocks_csv, tmp_path, monkeypatch, capsys):
@@ -243,6 +255,23 @@ def test_plan_candidate_mismatch(blocks_csv, tmp_path):
     assert "4" in res.stderr and "5" in res.stderr
 
 
+def test_plan_count_mismatch_builds_no_timeline(tmp_path, monkeypatch, capsys):
+    seg_path = tmp_path / "seg.json"
+    write_segmentation(Segmentation(n=100, m=2, change_points=(50,), objective=0.0), seg_path)
+
+    def whole_timeline(*args):
+        raise AssertionError("plan placed every candidate of the timeline")
+
+    monkeypatch.setattr(sampling, "candidate_timestamps", whole_timeline)
+    argv = ["plan", "--segmentation", str(seg_path), "--k", "4", "--duration", "1000000",
+            "--fps", "30", "--rate", "1", "--out", str(tmp_path / "p.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "covers 100 candidates" in err[0] and "yields 1000000" in err[0]
+    argv[argv.index("1000000")] = "100"
+    assert cli.main(argv) == 0
+
+
 # ---------------------------------------------------------------------------
 # synth / eval / oracle-check / sweep
 
@@ -324,6 +353,15 @@ def test_sweep_dominance(tmp_path):
         assert int(m) in grid
         assert float(kts_obj) <= float(uni_obj)
         assert 0.0 <= float(kts_f1) <= 1.0
+
+
+def test_sweep_honours_candidate_cap_env(tmp_path):
+    args = ("sweep", "--seeds", 1, "--n", 12, "--d", 2, "--segments", 2,
+            "--separation", 1.0, "--sigma", 0.1, "--out", tmp_path / "s.csv")
+    res = run_cli(*args, env_extra={"KTS_MAX_CANDIDATES": "10"})
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()] and "cap of 10" in res.stderr
+    assert run_cli(*args, env_extra={"KTS_MAX_CANDIDATES": "12"}).returncode == 0
 
 
 def test_sweep_deterministic(tmp_path):

@@ -167,6 +167,18 @@ def test_plan_shape_properties(case):
     assert all(0 <= f < tl.frame_count for f in frames)
 
 
+@given(case=plan_case(), fps=st.sampled_from([24.0, 29.97, 59.94]))
+@settings(max_examples=60, deadline=None)
+def test_plan_picks_match_the_candidate_timeline(case, fps):
+    n, m, k, cps, rate = case
+    tl = VideoTimeline(duration_seconds=n / rate, source_fps=fps)
+    candidates = candidate_timestamps(tl, rate)
+    plan = plan_samples(seg_of(n, cps), k, tl, rate)
+    for s in plan.segments:
+        assert s.source_frames == tuple(candidates[c].source_frame for c in s.sampled_candidates)
+        assert s.source_timestamps == tuple(candidates[c].timestamp for c in s.sampled_candidates)
+
+
 @given(n=st.integers(1, 30), k=st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_plan_reduces_to_uniform_at_m_equals_n(n, k):

@@ -124,9 +124,7 @@ def test_feature_sequence_validation():
         FeatureSequence(values=[[1.0, float("nan")]])
     with pytest.raises(InvariantViolationError):
         FeatureSequence(values=np.empty((0, 3)))
-    with pytest.raises(InvariantViolationError):
-        FeatureSequence(values=[[1.0], [2.0]], timestamps=[3.0, 1.0])
-    feats = FeatureSequence(values=[[1.0], [2.0]], timestamps=[0.0, 0.5])
+    feats = FeatureSequence(values=[[1.0], [2.0]])
     assert feats.n == 2 and feats.d == 1
 
 
@@ -200,6 +198,24 @@ def test_precision_loss_raises_from_both_sources():
     with pytest.raises(PrecisionLossError):
         solve_fixed(stream_scatter(feats), 2)
     assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "kernel", [KernelSpec(), KernelSpec(kind="rbf", bandwidth=1.0), KernelSpec(kind="cosine")]
+)
+def test_kernel_overflow_raises_from_both_sources(scale, kernel):
+    # Warnings are errors in this suite, so an overflow warning on the way fails too.
+    feats = FeatureSequence(values=np.random.default_rng(10).standard_normal((50, 4)) * scale)
+    with pytest.raises(PrecisionLossError, match="overflow"):
+        build_variance_table(compute_gram(feats, kernel))
+    with pytest.raises(PrecisionLossError, match="overflow"):
+        solve_fixed(stream_scatter(feats, kernel), 2)
+
+
+def test_precision_check_rejects_nan():
+    with pytest.raises(PrecisionLossError):
+        segmentation._check_precision(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +432,41 @@ def test_solve_auto_clamps_m_max_to_what_fits():
         solve_auto(source, 0)
     with pytest.raises(InfeasibleSegmentCountError):
         solve_auto(source, 4, min_segment_length=21)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["planted", "constant", "noise"]),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    dense=st.booleans(),
+    min_len=st.integers(1, 3),
+    weight=st.sampled_from([1e-3, 0.5, 1.0, 4.0]),
+    zero_penalty=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_solve_auto_is_first_minimiser_over_solve_range(
+    seed, shape, kernel, dense, min_len, weight, zero_penalty
+):
+    # A zero penalty on constant features ties every m; the smallest must win.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(min_len, 40)), int(rng.integers(1, 4))
+    if shape == "constant":
+        values = np.full((n, d), rng.normal())
+    else:
+        values = rng.normal(scale=0.5 if shape == "noise" else 0.1, size=(n, d))
+        if shape == "planted":
+            values += rng.normal(scale=3.0, size=(5, d))[np.sort(rng.integers(0, 5, n))]
+    feats = FeatureSequence(values=values)
+    source = build_variance_table(compute_gram(feats, kernel)) if dense else stream_scatter(feats, kernel)
+    m_max = int(rng.integers(1, n + 3))
+    penalty = (lambda m, n, weight: 0.0) if zero_penalty else segment_count_penalty
+    with mock.patch.object(segmentation, "segment_count_penalty", penalty):
+        auto = solve_auto(source, m_max, weight, min_len)
+    curve = solve_range(source, range(1, min(m_max, n // min_len) + 1), min_len)
+    totals = [seg.objective + penalty(seg.m, n, weight) for seg in curve]
+    best = curve[totals.index(min(totals))]
+    assert (auto.m, auto.change_points, auto.objective) == (best.m, best.change_points, best.objective)
+    assert (auto.penalty, auto.penalty_weight) == (penalty(best.m, n, weight), weight)
 
 
 def test_solve_auto_penalty_fields():
