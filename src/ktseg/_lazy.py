@@ -17,7 +17,7 @@ def lazy_numpy() -> ModuleType:
     later shares it. Importing ktseg, and the ``plan`` and ``eval`` paths,
     then never pay numpy's import or its BLAS thread start-up. Before
     Python 3.12 the first access is not thread safe: touch numpy once
-    before using ktseg from several threads.
+    before using ktseg from several threads (its scatter worker starts later).
     """
     if "numpy" in sys.modules:
         return sys.modules["numpy"]

@@ -48,7 +48,7 @@ class VideoTimeline:
             raise InvariantViolationError("source fps must be positive and finite")
         count = self.frame_count
         if count is None:
-            count = int(math.floor(self.duration_seconds * self.source_fps))
+            count = _whole(self.duration_seconds * self.source_fps, "duration * fps")
         if count < 1:
             raise InvariantViolationError(
                 f"timeline implies {count} frames; need at least 1 "
@@ -120,7 +120,13 @@ class SamplingPlan:
 def _candidate_count(timeline: VideoTimeline, rate_per_second: float) -> int:
     if not (rate_per_second > 0) or not math.isfinite(rate_per_second):
         raise NonPositiveRateError(f"candidate rate must be positive, got {rate_per_second}")
-    return max(int(math.floor(timeline.duration_seconds * rate_per_second - 1e-9)) + 1, 1)
+    return max(_whole(timeline.duration_seconds * rate_per_second - 1e-9, "duration * rate") + 1, 1)
+
+
+def _whole(product: float, what: str) -> int:
+    if not math.isfinite(product):
+        raise InvariantViolationError(f"{what} overflows float64")
+    return int(math.floor(product))
 
 
 def _candidate(j: int, timeline: VideoTimeline, rate_per_second: float) -> Candidate:

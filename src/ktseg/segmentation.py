@@ -26,6 +26,7 @@ leftmost tie-breaks.
 from __future__ import annotations
 
 import math
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -48,7 +49,8 @@ np = lazy_numpy()
 #: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
-#: Bytes of one column block of window scatters, sized to stay cache-resident;
+#: Bytes of one column block of window scatters, sized to stay cache-resident (the
+#: stream holds three: the scatter block and the kernel columns of it and the next);
 #: each DP row also evaluates ~_BLOCK_BYTES/16 cells past its blocks' diagonals.
 _BLOCK_BYTES = 2 * 2**20
 
@@ -216,35 +218,51 @@ class ScatterStream:
         return np.einsum("ij,ij->i", x, x) if self.kernel.kind == "dot" else np.ones(self.n)
 
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Same contract as :meth:`VarianceTable.blocks`.
+        """Same contract as :meth:`VarianceTable.blocks`, computed in place in reused buffers.
 
-        Raises PrecisionLossError when a raw scatter falls below -1e-9.
+        Stage one of a block, its Gram columns and their suffix sums, needs the features
+        alone, so a worker thread runs it one block ahead. Raises PrecisionLossError when
+        a raw scatter falls below -1e-9.
         """
-        x, n = self.rows, self.n
+        x, n, w_max = self.rows, self.n, min(width, self.n)
         diag = self._diagonal()
         prefix = np.zeros(n + 1)
         np.cumsum(diag, out=prefix[1:])
         mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
-        for e0 in range(1, n + 1, width):
-            e1 = min(e0 + width, n + 1)
-            cols, ends = e1 - 1, np.arange(e0, e1)
-            # k[j, s] = K(s, e0 + j - 1) for s < e0 + j - 1, else 0.
-            k = np.tril(_kernel_values(x[e0 - 1 : cols], x[:cols], self.kernel), e0 - 2)
-            # Suffix sums over s >= t give the new column's mass per window start.
-            inc = np.cumsum(k[:, ::-1], axis=1)[:, ::-1]
-            inc *= 2.0
-            inc += diag[e0 - 1 : cols, None]
-            inc = np.tril(inc, e0 - 1)
-            inc[0] += mass[:cols]
-            np.cumsum(inc, axis=0, out=inc)  # inc[j, t] = M(t, e0 + j)
-            mass[:cols] = inc[-1]
-            inc /= np.maximum(ends[:, None] - np.arange(cols), 1)
-            raw = np.tril(np.subtract.outer(prefix[e0:e1], prefix[:cols]) - inc, e0 - 1)
-            _check_precision(raw)
-            np.maximum(raw, 0.0, out=raw)
-            # A single frame has zero scatter by definition; pin it exactly.
-            raw[ends - e0, ends - 1] = 0.0
-            yield e0, raw
+        lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
+        upper, starts = np.arange(w_max) >= np.arange(w_max)[:, None], range(1, n + 1, width)
+        k_bufs, raw_buf = (np.empty(w_max * n), np.empty(w_max * n)), np.empty(w_max * n)
+        def columns(b: int) -> np.ndarray:
+            """k[j, t] = 2 * sum_{t <= s < e-1} K(s, e-1) + K(e-1, e-1) for e = e0 + j, t < e."""
+            e0 = starts[b]
+            w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
+            k = k_bufs[b % 2][: w * cols].reshape(w, cols)
+            _kernel_values(x[e0 - 1 : cols], x[:cols], self.kernel, out=k)
+            np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
+            np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
+            k *= 2.0
+            k += diag[e0 - 1 : cols, None]
+            np.copyto(k[:, e0:], 0.0, where=upper[:w, : w - 1])  # drop t > e0 + j - 1
+            return k
+        with _one_worker(len(starts) > 1) as pool:  # exiting, also on error or close(), joins it
+            for b, e0 in enumerate(starts):
+                k = columns(b) if b == 0 else ahead.result()  # re-raises the worker's error
+                ahead = pool.submit(columns, b + 1) if b + 1 < len(starts) else None
+                (w, cols), ends = k.shape, np.arange(e0, e0 + len(k))
+                k[0] += mass[:cols]
+                for j in range(1, w):
+                    k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
+                mass[:cols] = k[-1]
+                k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
+                raw = raw_buf[: w * cols].reshape(w, cols)
+                np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
+                raw -= k
+                np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
+                _check_precision(raw)
+                np.maximum(raw, 0.0, out=raw)
+                # A single frame has zero scatter by definition; pin it exactly.
+                raw[ends - e0, ends - 1] = 0.0
+                yield e0, raw
 
 
 @dataclass(frozen=True)
@@ -328,14 +346,14 @@ def _kernel_rows(
     return x / norms[:, None]
 
 
-def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """K(a, b) for every row a of xa and b of xb, off the prepared rows."""
-    g = xa @ xb.T
+def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec, out=None) -> np.ndarray:
+    """K(a, b) for every row a of xa and b of xb, off the prepared rows, into ``out`` if given."""
+    g = np.matmul(xa, xb.T, out=out)
     if kernel.kind == "rbf":
         sqa = np.einsum("ij,ij->i", xa, xa)
         sqb = sqa if xb is xa else np.einsum("ij,ij->i", xb, xb)
         d2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * g, 0.0)
-        g = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
+        g = np.exp(-d2 / (2.0 * kernel.bandwidth**2), out=g)
     return g
 
 
@@ -496,29 +514,42 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     # streams each block once per DP row.
     width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
     cand = np.empty(min(width, n) * n)
-    for e0, var in table.blocks(width):
-        e1 = e0 + var.shape[0]
-        stop = e1 - min_len  # feasible starts of the block's last end lie below
-        if stop <= 0:
-            continue
-        var = var[:, :stop]
-        var[np.arange(stop) > np.arange(e0 - min_len, e1 - min_len)[:, None]] = np.inf
-        cost[1, e0:e1] = var[:, 0]
-        for i in range(2, m_max + 1):
-            lo_e, lo_t = max(e0, i * min_len), lo[i]
-            if lo_e >= e1:
-                break
-            v = var[lo_e - e0 :, lo_t:]
-            c = cand[: v.size].reshape(v.shape)
-            np.add(cost[i - 1, lo_t:stop], v, out=c)
-            best = c.argmin(axis=1)
-            back[i, lo_e:e1] = best + lo_t
-            cost[i, lo_e:e1] = c[np.arange(len(best)), best]
-            if e1 <= n and stop >= lo_e:
-                # stop == e1 - min_len is the end e of the rule above.
-                beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
-                lo[i] += beaten.argmin() if not beaten.all() else beaten.size
+    # Closing the source on any exit stops and joins the stream's worker thread.
+    with closing(table.blocks(width)) as blocks:
+        for e0, var in blocks:
+            e1 = e0 + var.shape[0]
+            stop = e1 - min_len  # feasible starts of the block's last end lie below
+            if stop <= 0:
+                continue
+            var = var[:, :stop]
+            t0 = e0 - min_len + 1  # row j takes no start t >= t0 + j: inf only in that corner
+            corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, 0) - t0 :]
+            np.copyto(var[:, max(t0, 0) :], np.inf, where=corner)
+            cost[1, e0:e1] = var[:, 0]
+            for i in range(2, m_max + 1):
+                lo_e, lo_t = max(e0, i * min_len), lo[i]
+                if lo_e >= e1:
+                    break
+                v = var[lo_e - e0 :, lo_t:]
+                c = cand[: v.size].reshape(v.shape)
+                np.add(cost[i - 1, lo_t:stop], v, out=c)
+                best = c.argmin(axis=1)
+                back[i, lo_e:e1] = best + lo_t
+                cost[i, lo_e:e1] = c[np.arange(len(best)), best]
+                if e1 <= n and stop >= lo_e:
+                    # stop == e1 - min_len is the end e of the rule above.
+                    beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
+                    lo[i] += beaten.argmin() if not beaten.all() else beaten.size
     return cost, back
+
+
+def _one_worker(needed: bool):
+    """A one-thread pool, or when not ``needed`` a stand-in that starts no thread."""
+    if not needed:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms, paid only when needed
+
+    return ThreadPoolExecutor(1, "ktseg-scatter")
 
 
 def _segmentation(n: int, m: int, cost, back, min_len: int, **penalty) -> Segmentation:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,76 @@ def test_plan_count_mismatch_builds_no_timeline(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and "covers 100 candidates" in err[0] and "yields 1000000" in err[0]
     argv[argv.index("1000000")] = "100"
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "flags", [("--duration", "1e300", "--fps", "1e300", "--rate", "1"),
+              ("--duration", "1e200", "--fps", "1", "--rate", "1e200")],
+    ids=["duration-fps", "duration-rate"],
+)
+def test_plan_overflowing_product_is_a_one_line_error(blocks_csv, tmp_path, flags):
+    seg_path = tmp_path / "seg.json"
+    assert run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", seg_path).returncode == 0
+    res = run_cli("plan", "--segmentation", seg_path, "--k", 2, *flags, "--out", tmp_path / "p.json")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "overflows" in res.stderr
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# process entry: one BLAS thread by default
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+#: Runs the CLI entry named by argv[1] in-process, then one matmul, then counts
+#: this process's threads: the main thread plus the BLAS pool.
+THREAD_PROBE = """
+import os, runpy, sys
+entry, features = sys.argv[1], sys.argv[2]
+sys.argv[1:] = ["segment", "--features", features, "--m", "2", "--out", features + ".json"]
+if entry == "module":
+    try:
+        runpy.run_module("ktseg", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+elif entry != "none":
+    module, _, attr = entry.partition(":")
+    assert getattr(__import__(module, fromlist=[attr]), attr)() == 0
+import numpy as np
+np.ones((256, 256)) @ np.ones((256, 256))
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+def count_threads(entry, features, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_vars)
+    res = subprocess.run([sys.executable, "-c", THREAD_PROBE, entry, str(features)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through Linux /proc")
+def test_cli_process_entry_defaults_to_one_blas_thread(blocks_csv):
+    if count_threads("none", blocks_csv) < 2:
+        pytest.skip("numpy's BLAS runs one thread even without the entry's default")
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    script = re.search(r'^ktseg = "(.+)"$', pyproject, re.MULTILINE).group(1)
+    assert count_threads("module", blocks_csv) == 1
+    assert count_threads(script, blocks_csv) == 1
+    assert count_threads("module", blocks_csv, OMP_NUM_THREADS="2") == 2
+    assert count_threads(script, blocks_csv, OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_in_process_main_leaves_the_environment_alone(blocks_csv, tmp_path, monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert cli.main(["segment", "--features", str(blocks_csv), "--m", "2",
+                     "--out", str(tmp_path / "seg.json")]) == 0
+    assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core solver tests: Gram matrices, both scatter sources, and the DP solves."""
 
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -243,6 +244,17 @@ def test_stream_matches_dense_reference(seed, kernel, min_len, block_bytes):
         assert abs(got.objective - want.objective) <= 1e-9
 
 
+def shaped_values(rng, shape, n, d):
+    """n x d features: one constant row repeated, i.i.d. noise, or planted segments."""
+    if shape == "constant":
+        return np.full((n, d), rng.normal())
+    values = rng.normal(scale=0.5 if shape == "noise" else 0.1, size=(n, d))
+    if shape == "planted":
+        labels = np.sort(rng.integers(0, 6, n))
+        values += rng.normal(scale=3.0, size=(6, d))[labels]
+    return values
+
+
 class RecordedWidth:
     """Scatter source wrapper that remembers the block width the DP asked for."""
 
@@ -286,14 +298,7 @@ def full_square_rows(source, m_max, min_len, width):
 def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min_len, block_bytes):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
-    if shape == "constant":
-        values = np.full((n, d), rng.normal())
-    else:
-        values = rng.normal(scale=0.5 if shape == "noise" else 0.1, size=(n, d))
-        if shape == "planted":
-            labels = np.sort(rng.integers(0, 6, n))
-            values += rng.normal(scale=3.0, size=(6, d))[labels]
-    feats = FeatureSequence(values=values)
+    feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
     source = build_variance_table(compute_gram(feats, kernel)) if dense else stream_scatter(feats, kernel)
     recorded = RecordedWidth(source)
     m_max = int(rng.integers(1, n // min_len + 1))
@@ -302,6 +307,138 @@ def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min
     want_cost, want_back = full_square_rows(source, m_max, min_len, recorded.width)
     assert np.array_equal(cost, want_cost)
     assert np.array_equal(back, want_back)
+
+
+def unfused_stream_blocks(stream, width):
+    """The stream's formula as first written: full tril copies and cumulative sums."""
+    x, n = stream.rows, stream.n
+    diag = stream._diagonal()
+    prefix = np.zeros(n + 1)
+    np.cumsum(diag, out=prefix[1:])
+    mass = np.zeros(n)
+    for e0 in range(1, n + 1, width):
+        e1 = min(e0 + width, n + 1)
+        cols, ends = e1 - 1, np.arange(e0, e1)
+        k = np.tril(segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], stream.kernel), e0 - 2)
+        inc = np.cumsum(k[:, ::-1], axis=1)[:, ::-1]
+        inc *= 2.0
+        inc += diag[e0 - 1 : cols, None]
+        inc = np.tril(inc, e0 - 1)
+        inc[0] += mass[:cols]
+        np.cumsum(inc, axis=0, out=inc)
+        mass[:cols] = inc[-1]
+        inc /= np.maximum(ends[:, None] - np.arange(cols), 1)
+        raw = np.tril(np.subtract.outer(prefix[e0:e1], prefix[:cols]) - inc, e0 - 1)
+        np.maximum(raw, 0.0, out=raw)
+        raw[ends - e0, ends - 1] = 0.0
+        yield e0, raw
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["planted", "constant", "noise"]),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    # 8 bytes gives one end index per block; 512 a few, with a partial last block.
+    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+)
+@settings(max_examples=150, deadline=None)
+def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, block_bytes):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+    stream = stream_scatter(FeatureSequence(values=shaped_values(rng, shape, n, d)), kernel)
+    width = max(block_bytes // (8 * (n + 1)), 1)
+    count = 0
+    for (e0, got), (want_e0, want) in zip(stream.blocks(width), unfused_stream_blocks(stream, width)):
+        assert e0 == want_e0 and got.shape == want.shape
+        for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
+            assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
+        count += 1
+    assert count == -(-n // width)
+
+
+SOLVERS = pytest.mark.parametrize(
+    "solve", [lambda s: solve_fixed(s, 2), lambda s: solve_auto(s, 4)], ids=["solve_fixed", "solve_auto"]
+)
+#: Block budget giving 4 window ends per block at n = 40.
+FOUR_ENDS_AT_40 = 8 * 41 * 4
+
+
+@SOLVERS
+def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
+    baseline = threading.active_count()
+    values = np.random.default_rng(9).standard_normal((40, 4))
+    values[30:] *= 1e4
+    stream = stream_scatter(FeatureSequence(values=values))
+    passed = []
+    with pytest.raises(PrecisionLossError):
+        for e0, _ in stream.blocks(4):
+            passed.append(e0)
+    assert len(passed) == 6  # blocks of ends up to 24 are fine; the error comes from a later one
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+        with pytest.raises(PrecisionLossError):
+            solve(stream)
+    assert_workers_joined(baseline)
+
+
+@SOLVERS
+def test_worker_exception_is_reraised_unchanged(solve):
+    baseline = threading.active_count()
+    boom, threads, kernel_values = RuntimeError("kernel block 3"), [], segmentation._kernel_values
+
+    def failing(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise boom
+        return kernel_values(*args, **kwargs)
+
+    stream = stream_scatter(FeatureSequence(values=np.random.default_rng(2).standard_normal((40, 2))))
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+        with mock.patch.object(segmentation, "_kernel_values", failing):
+            with pytest.raises(RuntimeError) as raised:
+                solve(stream)
+    assert raised.value is boom
+    assert threads[2] is not threading.current_thread()  # the columns were computed on the worker
+    assert_workers_joined(baseline)
+
+
+def assert_workers_joined(baseline):
+    for thread in threading.enumerate():
+        if thread.name.startswith("ktseg-scatter"):
+            thread.join(timeout=10)
+            assert not thread.is_alive(), f"{thread.name} still running"
+    assert threading.active_count() == baseline
+
+
+class FailingAdd:
+    """numpy, except that np.add raises on its n-th call (the DP's row step)."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.n:
+            raise RuntimeError("DP failed")
+        return np.add(*args, **kwargs)
+
+
+def test_dp_failure_mid_stream_joins_the_worker():
+    baseline = threading.active_count()
+    feats = FeatureSequence(values=np.random.default_rng(3).standard_normal((60, 3)))
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
+        with mock.patch.object(segmentation, "np", FailingAdd(20)):
+            with pytest.raises(RuntimeError, match="DP failed"):
+                solve_fixed(stream_scatter(feats), 5)
+    assert_workers_joined(baseline)
+
+
+def test_single_block_solve_starts_no_thread():
+    feats = FeatureSequence(values=np.random.default_rng(4).standard_normal((200, 3)))
+    with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
+        assert solve_auto(stream_scatter(feats), 8).m >= 1
 
 
 def test_streaming_solve_holds_less_than_one_dense_array():
