@@ -6,11 +6,12 @@ fixed segment count or for an automatically chosen count under a
 parsimony penalty.
 
 Two scatter sources feed the one DP, both in column blocks of window end
-indices. ``stream_scatter`` computes Gram columns on the fly and keeps
-O(n) running window masses, so the solve needs O(m*n) memory; it is the
-production path. ``build_variance_table`` materializes every window from a
-dense Gram matrix and an integral image in O(n^2) memory; it is the
-reference that the brute-force oracle and ``placement_objective`` query.
+indices and both by one arithmetic, O(n) running window masses over
+kernel rows (``_scatter_blocks``). ``stream_scatter`` computes the kernel
+rows on the fly, so the solve needs O(m*n) memory; it is the production
+path. ``build_variance_table`` reads them from a dense Gram matrix and
+keeps every window in O(n^2) memory; it is the reference that the
+brute-force oracle and ``placement_objective`` query.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -49,8 +50,8 @@ np = lazy_numpy()
 #: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
-#: Bytes of one column block of window scatters, sized to stay cache-resident (the
-#: stream holds three: the scatter block and the kernel columns of it and the next);
+#: Bytes of one column block of window scatters, sized to stay cache-resident (both
+#: sources hold three: the scatter block and the kernel columns of it and the next);
 #: each DP row also evaluates ~_BLOCK_BYTES/16 cells past its blocks' diagonals.
 _BLOCK_BYTES = 2 * 2**20
 
@@ -103,8 +104,11 @@ class KernelSpec:
                 f"unknown kernel {self.kind!r}; expected one of {_KERNEL_KINDS}"
             )
         if self.kind == "rbf":
-            if self.bandwidth is None or not math.isfinite(self.bandwidth) or self.bandwidth <= 0:
-                raise InvariantViolationError("rbf kernel requires a positive finite bandwidth")
+            bw = self.bandwidth  # exp(-d^2 / (2*bw^2)) needs 2*bw^2 finite and nonzero
+            if bw is None or not bw > 0 or not 0.0 < 2.0 * bw * bw < math.inf:
+                raise InvariantViolationError(
+                    "rbf kernel requires a positive bandwidth with 2*bw^2 finite and nonzero"
+                )
         elif self.bandwidth is not None:
             raise InvariantViolationError(f"{self.kind} kernel takes no bandwidth")
 
@@ -191,14 +195,10 @@ class VarianceTable:
 class ScatterStream:
     """Window scatters computed from the features, one column block at a time.
 
-    For window end e the new Gram column K(s, e-1), s < e-1, comes from one
-    matmul per block, and running window masses follow
-
-        M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(s, e-1) + K(e-1, e-1)
-
-    so the scatter (sum of diagonal over [t, e)) - M(t, e) / (e - t) never
-    needs the Gram matrix: memory is O(n*d) plus one block. ``rows`` holds
-    the kernel's input rows (centred for dot, L2-normalized for cosine).
+    Each block's kernel columns K(e-1, s), s < e-1, come from one matmul, so
+    the solve never needs the Gram matrix: memory is O(n*d) plus one block.
+    ``rows`` holds the kernel's input rows (centred for dot, L2-normalized
+    for cosine).
     """
 
     rows: np.ndarray
@@ -211,58 +211,72 @@ class ScatterStream:
     @property
     def trace(self) -> float:
         """Sum of the kernel diagonal, the scale of every scatter."""
-        return float(self._diagonal().sum())
-
-    def _diagonal(self) -> np.ndarray:
-        x = self.rows
-        return np.einsum("ij,ij->i", x, x) if self.kernel.kind == "dot" else np.ones(self.n)
+        return float(_kernel_diagonal(self.rows, self.kernel).sum())
 
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Same contract as :meth:`VarianceTable.blocks`, computed in place in reused buffers.
+        """Same contract as :meth:`VarianceTable.blocks`; see :func:`_scatter_blocks`."""
+        x, kernel = self.rows, self.kernel
+        def matmul_columns(e0: int, cols: int, out: np.ndarray) -> None:
+            _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=out)
+        return _scatter_blocks(_kernel_diagonal(x, kernel), width, matmul_columns, overlap=True)
 
-        Stage one of a block, its Gram columns and their suffix sums, needs the features
-        alone, so a worker thread runs it one block ahead. Raises PrecisionLossError when
-        a raw scatter falls below -1e-9.
-        """
-        x, n, w_max = self.rows, self.n, min(width, self.n)
-        diag = self._diagonal()
-        prefix = np.zeros(n + 1)
-        np.cumsum(diag, out=prefix[1:])
-        mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
-        lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
-        upper, starts = np.arange(w_max) >= np.arange(w_max)[:, None], range(1, n + 1, width)
-        k_bufs, raw_buf = (np.empty(w_max * n), np.empty(w_max * n)), np.empty(w_max * n)
-        def columns(b: int) -> np.ndarray:
-            """k[j, t] = 2 * sum_{t <= s < e-1} K(s, e-1) + K(e-1, e-1) for e = e0 + j, t < e."""
-            e0 = starts[b]
-            w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
-            k = k_bufs[b % 2][: w * cols].reshape(w, cols)
-            _kernel_values(x[e0 - 1 : cols], x[:cols], self.kernel, out=k)
-            np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
-            np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
-            k *= 2.0
-            k += diag[e0 - 1 : cols, None]
-            np.copyto(k[:, e0:], 0.0, where=upper[:w, : w - 1])  # drop t > e0 + j - 1
-            return k
-        with _one_worker(len(starts) > 1) as pool:  # exiting, also on error or close(), joins it
-            for b, e0 in enumerate(starts):
-                k = columns(b) if b == 0 else ahead.result()  # re-raises the worker's error
-                ahead = pool.submit(columns, b + 1) if b + 1 < len(starts) else None
-                (w, cols), ends = k.shape, np.arange(e0, e0 + len(k))
-                k[0] += mass[:cols]
-                for j in range(1, w):
-                    k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
-                mass[:cols] = k[-1]
-                k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
-                raw = raw_buf[: w * cols].reshape(w, cols)
-                np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
-                raw -= k
-                np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
-                _check_precision(raw)
-                np.maximum(raw, 0.0, out=raw)
-                # A single frame has zero scatter by definition; pin it exactly.
-                raw[ends - e0, ends - 1] = 0.0
-                yield e0, raw
+
+def _scatter_blocks(
+    diag: np.ndarray, width: int, kernel_columns, overlap: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one scatter arithmetic behind both sources, computed in place in reused buffers.
+
+    Yields the blocks of :meth:`VarianceTable.blocks` for the kernel diagonal ``diag``.
+    ``kernel_columns(e0, cols, out)`` writes the kernel column of each end e = e0 + j,
+    K(e-1, s) for s < cols, into out[j, s]; only s < e-1 is read. Running window masses
+    follow
+
+        M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1)
+
+    and the scatter of [t, e) is (sum of diag over [t, e)) - M(t, e) / (e - t).
+    Stage one of a block, its kernel columns and their suffix sums, needs no earlier
+    block, so with ``overlap`` a worker thread runs it one block ahead. Raises
+    PrecisionLossError when a raw scatter falls below -1e-9.
+    """
+    n = len(diag)
+    w_max = min(width, n)
+    prefix = np.zeros(n + 1)
+    np.cumsum(diag, out=prefix[1:])
+    mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
+    lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
+    upper, starts = np.arange(w_max) >= np.arange(w_max)[:, None], range(1, n + 1, width)
+    k_bufs, raw_buf = (np.empty(w_max * n), np.empty(w_max * n)), np.empty(w_max * n)
+    def columns(b: int) -> np.ndarray:
+        """k[j, t] = 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1) for e = e0 + j, t < e."""
+        e0 = starts[b]
+        w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
+        k = k_bufs[b % 2][: w * cols].reshape(w, cols)
+        kernel_columns(e0, cols, k)
+        np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
+        np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
+        k *= 2.0
+        k += diag[e0 - 1 : cols, None]
+        np.copyto(k[:, e0:], 0.0, where=upper[:w, : w - 1])  # drop t > e0 + j - 1
+        return k
+    with _one_worker(overlap and len(starts) > 1) as pool:  # every exit (error, close()) joins it
+        for b, e0 in enumerate(starts):
+            k = ahead.result() if pool and b else columns(b)  # re-raises the worker's error
+            ahead = pool.submit(columns, b + 1) if pool and b + 1 < len(starts) else None
+            (w, cols), ends = k.shape, np.arange(e0, e0 + len(k))
+            k[0] += mass[:cols]
+            for j in range(1, w):
+                k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
+            mass[:cols] = k[-1]
+            k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
+            raw = raw_buf[: w * cols].reshape(w, cols)
+            np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
+            raw -= k
+            np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
+            _check_precision(raw)
+            np.maximum(raw, 0.0, out=raw)
+            # A single frame has zero scatter by definition; pin it exactly.
+            raw[ends - e0, ends - 1] = 0.0
+            yield e0, raw
 
 
 @dataclass(frozen=True)
@@ -353,8 +367,14 @@ def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec, out=None)
         sqa = np.einsum("ij,ij->i", xa, xa)
         sqb = sqa if xb is xa else np.einsum("ij,ij->i", xb, xb)
         d2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * g, 0.0)
-        g = np.exp(-d2 / (2.0 * kernel.bandwidth**2), out=g)
+        with np.errstate(over="ignore"):  # a ratio past float64 stands for exp(-inf) = 0
+            g = np.exp(-d2 / (2.0 * kernel.bandwidth**2), out=g)
     return g
+
+
+def _kernel_diagonal(rows: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """K(a, a) for every prepared row a: its squared norm for dot, 1 for cosine and rbf."""
+    return np.einsum("ij,ij->i", rows, rows) if kernel.kind == "dot" else np.ones(len(rows))
 
 
 def _check_precision(raw: np.ndarray) -> None:
@@ -375,7 +395,8 @@ def stream_scatter(
 
     Raises TooManyCandidatesError above ``max_candidates`` frames and
     ZeroNormRowError when the cosine kernel meets an all-zero row; the
-    solvers raise PrecisionLossError as in :func:`build_variance_table`.
+    solvers raise PrecisionLossError when a raw scatter falls below -1e-9,
+    that is when cancellation has destroyed its precision.
     """
     kernel = kernel if kernel is not None else KernelSpec()
     return ScatterStream(rows=_kernel_rows(features, kernel, max_candidates), kernel=kernel)
@@ -400,53 +421,31 @@ def compute_gram(
     # Mirror the upper triangle in place so symmetry holds bit-for-bit.
     for i in range(1, g.shape[0]):
         g[i, :i] = g[:i, i]
-    if kernel.kind != "dot":
-        np.fill_diagonal(g, 1.0)
+    np.fill_diagonal(g, _kernel_diagonal(x, kernel))
     g.setflags(write=False)
     return GramMatrix(entries=g)
 
 
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
-    """The clamped scatter of every window, from diagonal and 2-D prefix sums.
+    """The clamped scatter of every window, by the stream's arithmetic off the Gram rows.
 
-    O(n^2) time; besides the Gram matrix, memory is the returned table plus
-    one row block. Windows read a Gram block only through its diagonal and
-    sum, so a non-symmetric input counts as its symmetric part. Raw scatters
-    may dip a hair below zero from cancellation in the prefix sums; below
-    -1e-9 the input scale has destroyed their precision: PrecisionLossError.
+    Reads the Gram diagonal and the strictly lower triangle, g[e-1, s] for
+    s < e-1, where the stream multiplies features, so equal kernel values
+    give bit-identical scatters from both sources. O(n^2) time; besides the
+    Gram matrix, memory is the returned table plus three blocks. Raises
+    PrecisionLossError when a raw scatter falls below -1e-9.
     """
-    g = gram.entries
-    n = gram.n
-    diag_prefix = np.zeros(n + 1)
-    diag_prefix[1:] = np.cumsum(np.diagonal(g))
-    # out starts as the integral image, out[a, b] = sum of g[:a, :b] ...
-    out = np.zeros((n + 1, n + 1))
-    column_sums = np.zeros(n)
-    for a in range(1, n + 1):
-        column_sums += g[a - 1]
-        np.cumsum(column_sums, out=out[a, 1:])
-    # ... and is overwritten by scatter rows top to bottom. Row a needs
-    # out[a, b] and out[b, a] for b > a only, which later rows still hold.
-    bpd = out.diagonal().copy()
-    idx = np.arange(n + 1)
+    g, n = gram.entries, gram.n
+    diag = np.diagonal(g)
+    var_matrix = np.zeros((n + 1, n + 1))
     width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
-    for a0 in range(0, n + 1, width):
-        a1 = min(a0 + width, n + 1)
-        transposed = out[:, a0:a1].T.copy()
-        block = ((bpd[None, :] - out[a0:a1]) - transposed) + bpd[a0:a1, None]
-        length = idx[None, :] - idx[a0:a1, None]
-        valid = length >= 1
-        out[a0:a1] = np.where(
-            valid,
-            (diag_prefix[None, :] - diag_prefix[a0:a1, None]) - block / np.where(valid, length, 1),
-            0.0,
-        )
-    _check_precision(out)
-    var_matrix = np.maximum(out, 0.0, out=out)
-    # A single frame has zero scatter by definition; pin it exactly.
-    var_matrix[idx[:-1], idx[1:]] = 0.0
+    def gram_rows(e0: int, cols: int, out: np.ndarray) -> None:
+        np.copyto(out, g[e0 - 1 : cols, :cols])
+    # No worker thread: a block copy is too light a consumer for the stream's overlap to pay.
+    for e0, raw in _scatter_blocks(diag, width, gram_rows, overlap=False):
+        var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
-    return VarianceTable(var_matrix=var_matrix, trace=float(diag_prefix[-1]))
+    return VarianceTable(var_matrix=var_matrix, trace=float(diag.sum()))
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
@@ -501,8 +500,8 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
     lo = np.arange(-1, m_max) * min_len
     # The margin bounds rounding. Superadditivity holds for exact scatters;
-    # each one either source yields is within r = 4*(n+1)^2*eps*trace of
-    # exact: the integral image and the running masses add at most 2n
+    # each one the shared block arithmetic yields is within r =
+    # 4*(n+1)^2*eps*trace of exact: its running masses add at most 2n
     # terms whose magnitudes total at most n*trace, and a window of two or
     # more frames divides that error by its length (single frames are
     # pinned to 0). Costs and scatters stay below 2*trace, so each of the

@@ -149,6 +149,17 @@ def test_segment_kernel_flag(blocks_csv, tmp_path):
     assert bad.returncode == 2
 
 
+def test_segment_rejects_rbf_bandwidth_whose_square_leaves_float64(tmp_path):
+    path = tmp_path / "equal.csv"
+    path.write_text("1,0\n1,0\n")
+    res = run_cli("segment", "--features", path, "--m", 1, "--kernel", "rbf:1e-300",
+                  "--out", tmp_path / "x.json")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "bandwidth" in errors[0]
+
+
 def test_segment_deterministic_output(blocks_csv, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", out1).returncode == 0

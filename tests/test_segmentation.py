@@ -109,11 +109,22 @@ def test_gram_rbf_entries_in_unit_interval():
     assert np.diagonal(g.entries).tolist() == [1.0] * 12
 
 
+def test_rbf_kernel_values_past_float64_are_zero():
+    # d^2 / (2*bw^2) = 5e319 overflows; the kernel value it stands for is 0 in float64.
+    feats = FeatureSequence(values=[[0.0], [1e10], [0.0]])
+    kernel = KernelSpec(kind="rbf", bandwidth=1e-150)
+    assert compute_gram(feats, kernel).entries.tolist() == [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
+    assert solve_fixed(stream_scatter(feats, kernel), 3).change_points == (1, 2)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(InvariantViolationError):
         KernelSpec(kind="rbf")
     with pytest.raises(InvariantViolationError):
         KernelSpec(kind="rbf", bandwidth=0.0)
+    for bandwidth in (1e-300, 1e200):  # 2*bw^2 underflows to 0 or overflows to inf
+        with pytest.raises(InvariantViolationError):
+            KernelSpec(kind="rbf", bandwidth=bandwidth)
     with pytest.raises(InvariantViolationError):
         KernelSpec(kind="poly")
     assert KernelSpec.from_tag("rbf:2.5") == KernelSpec(kind="rbf", bandwidth=2.5)
@@ -167,6 +178,15 @@ def test_var_values_nonnegative():
     assert (table.var_matrix >= 0.0).all()
 
 
+def stacked_stream_blocks(values, width):
+    """The stream's blocks written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
+    stream = stream_scatter(FeatureSequence(values=values))
+    var = np.zeros((stream.n + 1, stream.n + 1))
+    for e0, v in stream.blocks(width):
+        var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
+    return var
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_table_matches_direct_feature_evaluation(seed):
     rng = np.random.default_rng(100 + seed)
@@ -174,10 +194,12 @@ def test_table_matches_direct_feature_evaluation(seed):
     d = int(rng.integers(1, 6))
     values = rng.standard_normal((n, d))
     table = table_for(values)
+    streamed = stacked_stream_blocks(values, 3)  # several blocks, a partial last one for most n
     for a in range(n):
         for b in range(a + 1, n + 1):
             expected = direct_scatter(values, a, b)
             assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+            assert streamed[a, b] == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=2.0)])
@@ -309,17 +331,16 @@ def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min
     assert np.array_equal(back, want_back)
 
 
-def unfused_stream_blocks(stream, width):
-    """The stream's formula as first written: full tril copies and cumulative sums."""
-    x, n = stream.rows, stream.n
-    diag = stream._diagonal()
+def unfused_scatter_blocks(diag, width, kernel_columns):
+    """The scatter formula as first written: full tril copies and cumulative sums."""
+    n = len(diag)
     prefix = np.zeros(n + 1)
     np.cumsum(diag, out=prefix[1:])
     mass = np.zeros(n)
     for e0 in range(1, n + 1, width):
         e1 = min(e0 + width, n + 1)
         cols, ends = e1 - 1, np.arange(e0, e1)
-        k = np.tril(segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], stream.kernel), e0 - 2)
+        k = np.tril(kernel_columns(e0, cols), e0 - 2)
         inc = np.cumsum(k[:, ::-1], axis=1)[:, ::-1]
         inc *= 2.0
         inc += diag[e0 - 1 : cols, None]
@@ -338,17 +359,28 @@ def unfused_stream_blocks(stream, width):
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(["planted", "constant", "noise"]),
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    dense=st.booleans(),
     # 8 bytes gives one end index per block; 512 a few, with a partial last block.
     block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
 )
 @settings(max_examples=150, deadline=None)
-def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, block_bytes):
+def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, dense, block_bytes):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
-    stream = stream_scatter(FeatureSequence(values=shaped_values(rng, shape, n, d)), kernel)
+    feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
+    stream = stream_scatter(feats, kernel)
+    x, diag = stream.rows, segmentation._kernel_diagonal(stream.rows, kernel)
+    if dense:  # the dense reference reads Gram rows where the stream multiplies
+        gram = compute_gram(feats, kernel)
+        source, g = build_variance_table(gram), gram.entries
+        kernel_columns = lambda e0, cols: g[e0 - 1 : cols, :cols]
+    else:
+        source = stream
+        kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
     width = max(block_bytes // (8 * (n + 1)), 1)
     count = 0
-    for (e0, got), (want_e0, want) in zip(stream.blocks(width), unfused_stream_blocks(stream, width)):
+    unfused = unfused_scatter_blocks(diag, width, kernel_columns)
+    for (e0, got), (want_e0, want) in zip(source.blocks(width), unfused):
         assert e0 == want_e0 and got.shape == want.shape
         for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
             assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
