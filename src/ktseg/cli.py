@@ -8,13 +8,14 @@ summaries go to stdout, and machine-readable content only to --out files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import io
-from .errors import KtsError
+from .errors import CandidateCountMismatchError, KtsError
 from .metrics import boundary_metrics, compare_to_uniform
-from .oracle import brute_force
+from .oracle import _check_size, brute_force
 from .sampling import VideoTimeline, plan_samples, uniform_change_points
 from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
@@ -48,15 +49,15 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {value}")
     return value
 
 
@@ -198,8 +199,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred = io.read_boundaries(args.pred)
-    truth = io.read_boundaries(args.truth)
+    pred_n, pred = io.read_boundaries(args.pred)
+    truth_n, truth = io.read_boundaries(args.truth)
+    if pred_n != truth_n:
+        raise CandidateCountMismatchError(
+            f"{args.pred} covers {pred_n} candidates but {args.truth} covers {truth_n}"
+        )
     metrics = boundary_metrics(pred, truth, args.tolerance)
     doc = {
         "precision": metrics.precision,
@@ -214,6 +219,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle_check(parser, args) -> int:
     features = io.read_features(args.features)
+    _check_size(features.n)  # before the solves, which the oracle would then refuse
     cap = _candidate_cap(parser)
     dp = solve_fixed(
         stream_scatter(features, args.kernel, max_candidates=cap),

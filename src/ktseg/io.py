@@ -371,10 +371,10 @@ def read_truth(path: str | Path) -> GroundTruth:
     )
 
 
-def read_boundaries(path: str | Path) -> list[int]:
-    """Boundary list from either a segmentation or a ground-truth document."""
+def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
+    """Candidate count n and boundary list from either a segmentation or a ground-truth document."""
     doc = _load_json(path)
     schema = doc.get("schema")
     if schema in (SEGMENTATION_SCHEMA, TRUTH_SCHEMA):
-        return _int_list(doc, "changePoints", path)
+        return int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
     raise SchemaMismatchError(f"{path}: schema {schema!r} carries no boundaries")

@@ -11,6 +11,13 @@ from .segmentation import Segmentation, VarianceTable, _check_feasible, placemen
 BRUTE_FORCE_MAX_N = 16
 
 
+def _check_size(n: int) -> None:
+    if n > BRUTE_FORCE_MAX_N:
+        raise InstanceTooLargeError(
+            f"exhaustive solver handles n <= {BRUTE_FORCE_MAX_N}, got n={n}"
+        )
+
+
 def brute_force(table: VarianceTable, m: int, min_segment_length: int = 1) -> Segmentation:
     """Globally optimal segmentation by enumerating every placement.
 
@@ -19,10 +26,7 @@ def brute_force(table: VarianceTable, m: int, min_segment_length: int = 1) -> Se
     smallest change-point vector.
     """
     n = table.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise InstanceTooLargeError(
-            f"exhaustive solver handles n <= {BRUTE_FORCE_MAX_N}, got n={n}"
-        )
+    _check_size(n)
     _check_feasible(n, m, min_segment_length)
     best_cps: tuple[int, ...] | None = None
     best_cost = float("inf")

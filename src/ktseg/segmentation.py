@@ -27,7 +27,7 @@ leftmost tie-breaks.
 from __future__ import annotations
 
 import math
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +51,7 @@ np = lazy_numpy()
 DEFAULT_CANDIDATE_CAP = 4096
 
 #: Bytes of one column block of window scatters, sized to stay cache-resident (both
-#: sources hold three: the scatter block and the kernel columns of it and the next);
+#: sources hold three: one block of kernel columns and two scatter blocks);
 #: each DP row also evaluates ~_BLOCK_BYTES/16 cells past its blocks' diagonals.
 _BLOCK_BYTES = 2 * 2**20
 
@@ -218,11 +218,12 @@ class ScatterStream:
         x, kernel = self.rows, self.kernel
         def matmul_columns(e0: int, cols: int, out: np.ndarray) -> None:
             _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=out)
-        return _scatter_blocks(_kernel_diagonal(x, kernel), width, matmul_columns, overlap=True)
+        blocks = _scatter_blocks(_kernel_diagonal(x, kernel), width, matmul_columns)
+        return _prefetched(blocks) if width < self.n else blocks  # one block: no thread
 
 
 def _scatter_blocks(
-    diag: np.ndarray, width: int, kernel_columns, overlap: bool
+    diag: np.ndarray, width: int, kernel_columns
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The one scatter arithmetic behind both sources, computed in place in reused buffers.
 
@@ -234,9 +235,9 @@ def _scatter_blocks(
         M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1)
 
     and the scatter of [t, e) is (sum of diag over [t, e)) - M(t, e) / (e - t).
-    Stage one of a block, its kernel columns and their suffix sums, needs no earlier
-    block, so with ``overlap`` a worker thread runs it one block ahead. Raises
-    PrecisionLossError when a raw scatter falls below -1e-9.
+    Blocks alternate between two output buffers, so a consumer may hold (and
+    overwrite) block b while block b + 1 is computed. Raises PrecisionLossError
+    when a raw scatter falls below -1e-9.
     """
     n = len(diag)
     w_max = min(width, n)
@@ -244,39 +245,47 @@ def _scatter_blocks(
     np.cumsum(diag, out=prefix[1:])
     mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
     lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
-    upper, starts = np.arange(w_max) >= np.arange(w_max)[:, None], range(1, n + 1, width)
-    k_bufs, raw_buf = (np.empty(w_max * n), np.empty(w_max * n)), np.empty(w_max * n)
-    def columns(b: int) -> np.ndarray:
-        """k[j, t] = 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1) for e = e0 + j, t < e."""
-        e0 = starts[b]
+    upper = np.arange(w_max) >= np.arange(w_max)[:, None]
+    k_buf, raw_bufs = np.empty(w_max * n), (np.empty(w_max * n), np.empty(w_max * n))
+    for b, e0 in enumerate(range(1, n + 1, width)):
         w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
-        k = k_bufs[b % 2][: w * cols].reshape(w, cols)
+        # k[j, t] = 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1) for e = e0 + j, t < e.
+        k = k_buf[: w * cols].reshape(w, cols)
         kernel_columns(e0, cols, k)
         np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
         np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
         k *= 2.0
         k += diag[e0 - 1 : cols, None]
         np.copyto(k[:, e0:], 0.0, where=upper[:w, : w - 1])  # drop t > e0 + j - 1
-        return k
-    with _one_worker(overlap and len(starts) > 1) as pool:  # every exit (error, close()) joins it
-        for b, e0 in enumerate(starts):
-            k = ahead.result() if pool and b else columns(b)  # re-raises the worker's error
-            ahead = pool.submit(columns, b + 1) if pool and b + 1 < len(starts) else None
-            (w, cols), ends = k.shape, np.arange(e0, e0 + len(k))
-            k[0] += mass[:cols]
-            for j in range(1, w):
-                k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
-            mass[:cols] = k[-1]
-            k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
-            raw = raw_buf[: w * cols].reshape(w, cols)
-            np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
-            raw -= k
-            np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
-            _check_precision(raw)
-            np.maximum(raw, 0.0, out=raw)
-            # A single frame has zero scatter by definition; pin it exactly.
-            raw[ends - e0, ends - 1] = 0.0
-            yield e0, raw
+        k[0] += mass[:cols]
+        for j in range(1, w):
+            k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
+        mass[:cols] = k[-1]
+        k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
+        raw = raw_bufs[b % 2][: w * cols].reshape(w, cols)
+        np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
+        raw -= k
+        np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
+        _check_precision(raw)
+        np.maximum(raw, 0.0, out=raw)
+        # A single frame has zero scatter by definition; pin it exactly.
+        raw[np.arange(w), np.arange(e0 - 1, e0 - 1 + w)] = 0.0
+        yield e0, raw
+
+
+def _prefetched(items: Iterator) -> Iterator:
+    """``items`` unchanged, each computed one ahead on a worker thread; its errors re-raise here.
+
+    Every exit (an error on either thread, or ``close()``) joins the worker, then closes ``items``.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms, paid only when used
+
+    done = object()
+    with closing(items), ThreadPoolExecutor(1, "ktseg-scatter") as pool:
+        ahead = pool.submit(next, items, done)
+        while (item := ahead.result()) is not done:
+            ahead = pool.submit(next, items, done)
+            yield item
 
 
 @dataclass(frozen=True)
@@ -441,8 +450,8 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
     def gram_rows(e0: int, cols: int, out: np.ndarray) -> None:
         np.copyto(out, g[e0 - 1 : cols, :cols])
-    # No worker thread: a block copy is too light a consumer for the stream's overlap to pay.
-    for e0, raw in _scatter_blocks(diag, width, gram_rows, overlap=False):
+    # No worker thread: a block copy is too light a consumer for a prefetch to pay.
+    for e0, raw in _scatter_blocks(diag, width, gram_rows):
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
     return VarianceTable(var_matrix=var_matrix, trace=float(diag.sum()))
@@ -540,15 +549,6 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
                     beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
                     lo[i] += beaten.argmin() if not beaten.all() else beaten.size
     return cost, back
-
-
-def _one_worker(needed: bool):
-    """A one-thread pool, or when not ``needed`` a stand-in that starts no thread."""
-    if not needed:
-        return nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # ~8 ms, paid only when needed
-
-    return ThreadPoolExecutor(1, "ktseg-scatter")
 
 
 def _segmentation(n: int, m: int, cost, back, min_len: int, **penalty) -> Segmentation:

@@ -16,6 +16,7 @@ substream seeds mixed from the config seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
@@ -82,8 +83,8 @@ class SynthConfig:
                 f"{self.segment_count} segments of length >= {self.min_segment_length} "
                 f"do not fit in {self.n} candidates"
             )
-        if self.mean_separation < 0 or self.noise_sigma < 0:
-            raise InfeasibleConfigError("separation and noise sigma must be nonnegative")
+        if not (0 <= self.mean_separation < math.inf and 0 <= self.noise_sigma < math.inf):
+            raise InfeasibleConfigError("separation and noise sigma must be finite and nonnegative")
         if self.mean_separation > 0 and self.segment_count > self.d + 1:
             raise InfeasibleConfigError(
                 f"separated means for {self.segment_count} segments need d >= "

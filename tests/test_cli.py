@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ktseg import FeatureSequence, Segmentation, SynthConfig, cli, generate, sampling
-from ktseg.io import write_features, write_segmentation
+from ktseg.io import GroundTruth, write_features, write_segmentation, write_truth
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -358,6 +358,24 @@ def test_in_process_main_leaves_the_environment_alone(blocks_csv, tmp_path, monk
 # synth / eval / oracle-check / sweep
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--separation", "--sigma", "--duration"])
+def test_float_flags_reject_non_finite_values(tmp_path, capsys, flag, value):
+    synth = ["synth", "--n", "30", "--d", "3", "--segments", "3", "--separation", "2.0",
+             "--sigma", "0.1", "--seed", "0", "--features-out", str(tmp_path / "f.csv"),
+             "--truth-out", str(tmp_path / "t.json")]
+    plan = ["plan", "--segmentation", str(tmp_path / "s.json"), "--k", "2", "--duration", "4",
+            "--fps", "30", "--rate", "1", "--out", str(tmp_path / "p.json")]
+    argv = plan if flag == "--duration" else synth
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "finite" in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def synth_args(tmp_path, seed=3):
     return (
         "synth", "--n", 30, "--d", 3, "--segments", 3, "--separation", 2.0,
@@ -396,6 +414,16 @@ def test_eval_perfect_prediction(tmp_path):
     assert doc["f1"] == 1.0 and doc["precision"] == 1.0
 
 
+def test_eval_rejects_documents_of_different_candidate_counts(tmp_path):
+    short, long = tmp_path / "short.json", tmp_path / "long.json"
+    write_truth(GroundTruth(n=100, change_points=(50,), seed=0), short)
+    write_truth(GroundTruth(n=300, change_points=(50,), seed=0), long)
+    res = run_cli("eval", "--pred", short, "--truth", long, "--tolerance", 200)
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "100" in lines[0] and "300" in lines[0]
+
+
 def test_eval_accepts_segmentation_documents(blocks_csv, tmp_path):
     seg_path = tmp_path / "seg.json"
     run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", seg_path)
@@ -408,6 +436,21 @@ def test_oracle_check_match(blocks_csv):
     res = run_cli("oracle-check", "--features", blocks_csv, "--m", 2)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("MATCH")
+
+
+def test_oracle_check_refuses_large_instances_before_solving(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "seventeen.csv"
+    path.write_text("1,0\n" * 17)
+
+    def solve_first(*args, **kwargs):
+        raise AssertionError("oracle-check solved an instance the oracle refuses")
+
+    monkeypatch.setattr(cli, "stream_scatter", solve_first)
+    monkeypatch.setattr(cli, "compute_gram", solve_first)
+    assert cli.main(["oracle-check", "--features", str(path), "--m", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: exhaustive solver handles n <= 16, got n=17"
+    ]
 
 
 def test_oracle_check_constant_features_take_leftmost(tmp_path):

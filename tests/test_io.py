@@ -311,8 +311,8 @@ def test_read_boundaries_from_segmentation_or_truth(tmp_path):
     write_segmentation(Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0), seg_path)
     write_truth(GroundTruth(n=20, change_points=(4, 11), seed=77), truth_path)
     write_plan(make_plan(), plan_path)
-    assert read_boundaries(seg_path) == [2, 4]
-    assert read_boundaries(truth_path) == [4, 11]
+    assert read_boundaries(seg_path) == (6, [2, 4])
+    assert read_boundaries(truth_path) == (20, [4, 11])
     with pytest.raises(SchemaMismatchError, match="carries no boundaries"):
         read_boundaries(plan_path)
 

@@ -1,5 +1,7 @@
 """Ground-truth machinery: exhaustive solver, generator, and metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,11 @@ def test_generator_infeasible_configs():
         base_config(segment_count=9, d=4)  # needs d >= 8 for separated means
     with pytest.raises(InfeasibleConfigError):
         base_config(noise_sigma=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InfeasibleConfigError, match="finite"):
+            base_config(noise_sigma=bad)
+        with pytest.raises(InfeasibleConfigError, match="finite"):
+            base_config(mean_separation=bad)
     with pytest.raises(InfeasibleConfigError):
         base_config(n=20, segment_count=5, min_segment_length=5)
 

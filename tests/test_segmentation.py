@@ -473,6 +473,40 @@ def test_single_block_solve_starts_no_thread():
         assert solve_auto(stream_scatter(feats), 8).m >= 1
 
 
+def test_scatter_blocks_start_no_thread():
+    x = np.random.default_rng(6).standard_normal((40, 3))
+
+    def matmul_columns(e0, cols, out):
+        segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], KernelSpec(), out=out)
+
+    diag = segmentation._kernel_diagonal(x, KernelSpec())
+    with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
+        ends = [e0 for e0, _ in segmentation._scatter_blocks(diag, 4, matmul_columns)]
+    assert ends == list(range(1, 41, 4))
+
+
+def test_held_block_is_unchanged_after_the_worker_computes_the_next():
+    stream = stream_scatter(FeatureSequence(values=np.random.default_rng(7).standard_normal((40, 3))))
+    produced, finished = {}, {e0: threading.Event() for e0 in range(1, 41, 4)}
+    scatter_blocks = segmentation._scatter_blocks
+
+    def recording(*args):
+        for e0, raw in scatter_blocks(*args):
+            produced[e0] = raw.copy()
+            finished[e0].set()  # block e0 is written; the worker yields it next
+            yield e0, raw
+
+    with mock.patch.object(segmentation, "_scatter_blocks", recording):
+        blocks = stream.blocks(4)
+    seen = []
+    for e0, held in blocks:
+        if e0 + 4 in finished:
+            assert finished[e0 + 4].wait(10), "the worker did not compute the next block"
+        assert np.array_equal(held, produced[e0])
+        seen.append(e0)
+    assert seen == list(range(1, 41, 4))
+
+
 def test_streaming_solve_holds_less_than_one_dense_array():
     feats = FeatureSequence(values=np.random.default_rng(12).standard_normal((3000, 8)))
     tracemalloc.start()
