@@ -12,10 +12,10 @@ import numpy as np
 from ktseg import (
     SynthConfig,
     boundary_metrics,
+    compute_gram,
     generate,
     solve_auto,
     solve_fixed,
-    stream_scatter,
 )
 
 # A 180-candidate sequence (think: a 3-minute video at one candidate per
@@ -33,9 +33,10 @@ config = SynthConfig(
 instance = generate(config)
 print(f"planted boundaries: {list(instance.true_change_points)}")
 
-# The solver pipeline: window scatters, streamed from Gram columns computed
-# block by block, feed an exact dynamic program.
-scatter = stream_scatter(instance.features)
+# The solver pipeline: the Gram matrix stays implicit in the features, and
+# window scatters, computed from its columns block by block, feed an exact
+# dynamic program.
+scatter = compute_gram(instance.features)
 
 # Fixed segment count, matching the planted one.
 fixed = solve_fixed(scatter, 5)

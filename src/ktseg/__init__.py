@@ -49,7 +49,6 @@ from .segmentation import (
     FeatureSequence,
     GramMatrix,
     KernelSpec,
-    ScatterStream,
     Segmentation,
     VarianceTable,
     build_variance_table,
@@ -59,7 +58,6 @@ from .segmentation import (
     solve_auto,
     solve_fixed,
     solve_range,
-    stream_scatter,
 )
 from .synth import SynthConfig, SyntheticInstance, generate
 
@@ -89,7 +87,6 @@ __all__ = [
     "PrecisionLossError",
     "RaggedRowsError",
     "SamplingPlan",
-    "ScatterStream",
     "SchemaMismatchError",
     "SegmentSamples",
     "Segmentation",
@@ -114,7 +111,6 @@ __all__ = [
     "solve_auto",
     "solve_fixed",
     "solve_range",
-    "stream_scatter",
     "uniform_change_points",
     "uniform_plan",
 ]

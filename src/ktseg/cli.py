@@ -25,7 +25,6 @@ from .segmentation import (
     solve_auto,
     solve_fixed,
     solve_range,
-    stream_scatter,
 )
 from .synth import SynthConfig, generate
 
@@ -89,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seg = sub.add_parser("segment", help="detect change points in a feature file")
+    seg.set_defaults(run=_cmd_segment)
     seg.add_argument("--features", required=True, help="feature matrix (.csv or .ktsf)")
     seg.add_argument("--m", type=_positive_int, help="exact segment count")
     seg.add_argument("--auto", action="store_true", help="choose the segment count automatically")
@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--out", required=True, help="segmentation JSON to write")
 
     plan = sub.add_parser("plan", help="turn a segmentation into an m x k frame schedule")
+    plan.set_defaults(run=_cmd_plan)
     plan.add_argument("--segmentation", required=True)
     plan.add_argument("--k", type=_positive_int, required=True, help="frames per segment")
     plan.add_argument("--duration", type=_positive_float, required=True, help="video length in seconds")
@@ -107,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--out", required=True, help="plan JSON to write")
 
     synth = sub.add_parser("synth", help="generate a synthetic instance with planted boundaries")
+    synth.set_defaults(run=_cmd_synth)
     synth.add_argument("--n", type=_positive_int, required=True)
     synth.add_argument("--d", type=_positive_int, required=True)
     synth.add_argument("--segments", type=_positive_int, required=True)
@@ -118,17 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--truth-out", required=True, help="ground-truth JSON to write")
 
     ev = sub.add_parser("eval", help="score predicted boundaries against ground truth")
+    ev.set_defaults(run=_cmd_eval)
     ev.add_argument("--pred", required=True, help="segmentation or truth JSON")
     ev.add_argument("--truth", required=True, help="segmentation or truth JSON")
     ev.add_argument("--tolerance", type=_nonnegative_int, default=0)
 
     oc = sub.add_parser("oracle-check", help="compare the DP solver against enumeration")
+    oc.set_defaults(run=_cmd_oracle_check)
     oc.add_argument("--features", required=True)
     oc.add_argument("--m", type=_positive_int, required=True)
     oc.add_argument("--kernel", type=_kernel, default=KernelSpec())
     oc.add_argument("--min-seg-len", type=_positive_int, default=1)
 
     sweep = sub.add_parser("sweep", help="KTS vs uniform across a segment-count grid")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds (0..seeds-1)")
     sweep.add_argument("--n", type=_positive_int, required=True)
     sweep.add_argument("--d", type=_positive_int, required=True)
@@ -148,7 +153,7 @@ def _cmd_segment(parser, args) -> int:
         parser.error("one of --m or --auto is required")
     if args.auto and args.max_segments is None:
         parser.error("--auto requires --max-segments")
-    scatter = stream_scatter(
+    scatter = compute_gram(
         io.read_features(args.features), args.kernel, max_candidates=_candidate_cap(parser)
     )
     if args.auto:
@@ -165,7 +170,7 @@ def _cmd_segment(parser, args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(parser, args) -> int:
     seg = io.read_segmentation(args.segmentation)
     timeline = VideoTimeline(duration_seconds=args.duration, source_fps=args.fps)
     plan = plan_samples(seg, args.k, timeline, args.rate)
@@ -175,7 +180,7 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(parser, args) -> int:
     config = SynthConfig(
         n=args.n,
         d=args.d,
@@ -198,7 +203,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(parser, args) -> int:
     pred_n, pred = io.read_boundaries(args.pred)
     truth_n, truth = io.read_boundaries(args.truth)
     if pred_n != truth_n:
@@ -220,14 +225,9 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle_check(parser, args) -> int:
     features = io.read_features(args.features)
     _check_size(features.n)  # before the solves, which the oracle would then refuse
-    cap = _candidate_cap(parser)
-    dp = solve_fixed(
-        stream_scatter(features, args.kernel, max_candidates=cap),
-        args.m,
-        min_segment_length=args.min_seg_len,
-    )
-    table = build_variance_table(compute_gram(features, args.kernel, max_candidates=cap))
-    bf = brute_force(table, args.m, min_segment_length=args.min_seg_len)
+    gram = compute_gram(features, args.kernel, max_candidates=_candidate_cap(parser))
+    dp = solve_fixed(gram, args.m, min_segment_length=args.min_seg_len)
+    bf = brute_force(build_variance_table(gram), args.m, min_segment_length=args.min_seg_len)
     same = dp.change_points == bf.change_points and abs(dp.objective - bf.objective) <= 1e-9
     if same:
         print(f"MATCH m={args.m} changePoints={list(dp.change_points)} objective={dp.objective:.17g}")
@@ -287,29 +287,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "segment":
-            return _cmd_segment(parser, args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(parser, args)
-        if args.command == "sweep":
-            return _cmd_sweep(parser, args)
-        parser.error(f"unknown command {args.command!r}")
-    except KtsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.run(parser, args)
+    except (KtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

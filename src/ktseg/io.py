@@ -139,6 +139,16 @@ def _int_list(doc: dict, key: str, path) -> list[int]:
     return out
 
 
+def _boundaries(doc: dict, path) -> tuple[int, list[int]]:
+    """n and changePoints, held to Segmentation's rules: n >= 1, points rising inside 1..n-1."""
+    n, change_points = int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
+    try:
+        Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"{path}: {exc}") from None
+    return n, change_points
+
+
 # ---------------------------------------------------------------------------
 # Feature matrices.
 
@@ -364,11 +374,8 @@ def read_truth(path: str | Path) -> GroundTruth:
     schema = doc.get("schema")
     if schema != TRUTH_SCHEMA:
         raise SchemaMismatchError(f"{path}: schema {schema!r}, expected {TRUTH_SCHEMA!r}")
-    return GroundTruth(
-        n=int(_require(doc, "n", int, path)),
-        change_points=tuple(_int_list(doc, "changePoints", path)),
-        seed=int(_require(doc, "seed", int, path)),
-    )
+    n, change_points = _boundaries(doc, path)
+    return GroundTruth(n=n, change_points=tuple(change_points), seed=int(_require(doc, "seed", int, path)))
 
 
 def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
@@ -376,5 +383,5 @@ def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
     doc = _load_json(path)
     schema = doc.get("schema")
     if schema in (SEGMENTATION_SCHEMA, TRUTH_SCHEMA):
-        return int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
+        return _boundaries(doc, path)
     raise SchemaMismatchError(f"{path}: schema {schema!r} carries no boundaries")

@@ -5,13 +5,15 @@ under a chosen kernel -> globally optimal change points, either for a
 fixed segment count or for an automatically chosen count under a
 parsimony penalty.
 
-Two scatter sources feed the one DP, both in column blocks of window end
-indices and both by one arithmetic, O(n) running window masses over
-kernel rows (``_scatter_blocks``). ``stream_scatter`` computes the kernel
-rows on the fly, so the solve needs O(m*n) memory; it is the production
-path. ``build_variance_table`` reads them from a dense Gram matrix and
-keeps every window in O(n^2) memory; it is the reference that the
-brute-force oracle and ``placement_objective`` query.
+One scatter source feeds the DP: ``compute_gram`` keeps the Gram matrix
+implicit in the kernel's input rows, and its ``blocks`` form the kernel
+columns one block of window end indices at a time, one matmul per block,
+and turn them into scatters by O(n) running window masses
+(``_scatter_blocks``), so a solve needs O(m*n) memory.
+``build_variance_table`` writes the same blocks down as the dense
+reference that the brute-force oracle and ``placement_objective`` query;
+its (n+1)^2 table is the only O(n^2) array, and its scatters are those
+the solvers see, bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -50,10 +52,14 @@ np = lazy_numpy()
 #: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
-#: Bytes of one column block of window scatters, sized to stay cache-resident (both
-#: sources hold three: one block of kernel columns and two scatter blocks);
-#: each DP row also evaluates ~_BLOCK_BYTES/16 cells past its blocks' diagonals.
+#: Bytes of one column block of window scatters, sized to stay cache-resident (the
+#: block arithmetic holds three: one block of kernel columns and two scatter blocks).
 _BLOCK_BYTES = 2 * 2**20
+
+#: Most window ends one DP step takes from a block. Each DP row also evaluates the
+#: infeasible corner past every step's diagonal, n*ends/2 cells in all, so blocks
+#: wider than this are split evenly; narrower steps would cost more numpy calls.
+_DP_ENDS = 128
 
 #: Raw scatters below this mean cancellation has destroyed their precision.
 _PRECISION_FLOOR = -1e-9
@@ -133,22 +139,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise kernel values between all candidate frames; compute_gram builds it symmetric."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = self.entries.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
-            raise InvariantViolationError(f"Gram matrix must be square and nonempty, got {shape}")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class VarianceTable:
     """Dense reference: the clamped scatter of every half-open window.
 
@@ -192,13 +182,12 @@ class VarianceTable:
 
 
 @dataclass(frozen=True)
-class ScatterStream:
-    """Window scatters computed from the features, one column block at a time.
+class GramMatrix:
+    """Kernel values between all candidate frames, kept implicit in the kernel's input rows.
 
-    Each block's kernel columns K(e-1, s), s < e-1, come from one matmul, so
-    the solve never needs the Gram matrix: memory is O(n*d) plus one block.
-    ``rows`` holds the kernel's input rows (centred for dot, L2-normalized
-    for cosine).
+    ``rows`` holds the rows the kernel compares (centred for dot,
+    L2-normalized for cosine). Gram columns are formed on demand, one block
+    at a time, so no n x n array is held: memory is O(n*d) plus one block.
     """
 
     rows: np.ndarray
@@ -215,22 +204,24 @@ class ScatterStream:
 
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
         """Same contract as :meth:`VarianceTable.blocks`; see :func:`_scatter_blocks`."""
-        x, kernel = self.rows, self.kernel
-        def matmul_columns(e0: int, cols: int, out: np.ndarray) -> None:
-            _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=out)
-        blocks = _scatter_blocks(_kernel_diagonal(x, kernel), width, matmul_columns)
+        blocks = _scatter_blocks(self, width)
         return _prefetched(blocks) if width < self.n else blocks  # one block: no thread
 
 
-def _scatter_blocks(
-    diag: np.ndarray, width: int, kernel_columns
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The one scatter arithmetic behind both sources, computed in place in reused buffers.
+def _block_width(n: int) -> int:
+    """End indices per column block of ``_BLOCK_BYTES``.
 
-    Yields the blocks of :meth:`VarianceTable.blocks` for the kernel diagonal ``diag``.
-    ``kernel_columns(e0, cols, out)`` writes the kernel column of each end e = e0 + j,
-    K(e-1, s) for s < cols, into out[j, s]; only s < e-1 is read. Running window masses
-    follow
+    The solvers and the dense table share it: a matmul's last bits depend on its shape.
+    """
+    return max(_BLOCK_BYTES // (8 * (n + 1)), 1)
+
+
+def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one scatter arithmetic, computed in place in reused buffers.
+
+    Yields the blocks of :meth:`VarianceTable.blocks` for ``gram``. One matmul per
+    block forms the kernel column of each end e = e0 + j, K(e-1, s) for s < cols;
+    only s < e-1 is read. Running window masses follow
 
         M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1)
 
@@ -239,6 +230,8 @@ def _scatter_blocks(
     overwrite) block b while block b + 1 is computed. Raises PrecisionLossError
     when a raw scatter falls below -1e-9.
     """
+    x, kernel = gram.rows, gram.kernel
+    diag = _kernel_diagonal(x, kernel)
     n = len(diag)
     w_max = min(width, n)
     prefix = np.zeros(n + 1)
@@ -251,7 +244,7 @@ def _scatter_blocks(
         w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
         # k[j, t] = 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1) for e = e0 + j, t < e.
         k = k_buf[: w * cols].reshape(w, cols)
-        kernel_columns(e0, cols, k)
+        _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=k)
         np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
         np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
         k *= 2.0
@@ -271,6 +264,15 @@ def _scatter_blocks(
         # A single frame has zero scatter by definition; pin it exactly.
         raw[np.arange(w), np.arange(e0 - 1, e0 - 1 + w)] = 0.0
         yield e0, raw
+
+
+def _steps(blocks: Iterator, most: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block (e0, v) of ``blocks`` split by rows into near-equal steps of at most ``most`` ends."""
+    for e0, v in blocks:
+        steps = -(-len(v) // most)  # ceiling divisions
+        size = -(-len(v) // steps)
+        for a in range(0, len(v), size):
+            yield e0 + a, v[a : a + size]
 
 
 def _prefetched(items: Iterator) -> Iterator:
@@ -395,66 +397,43 @@ def _check_precision(raw: np.ndarray) -> None:
         )
 
 
-def stream_scatter(
-    features: FeatureSequence,
-    kernel: KernelSpec | None = None,
-    max_candidates: int = DEFAULT_CANDIDATE_CAP,
-) -> ScatterStream:
-    """Scatter source for the solvers in O(m*n) memory; no Gram matrix is formed.
-
-    Raises TooManyCandidatesError above ``max_candidates`` frames and
-    ZeroNormRowError when the cosine kernel meets an all-zero row; the
-    solvers raise PrecisionLossError when a raw scatter falls below -1e-9,
-    that is when cancellation has destroyed its precision.
-    """
-    kernel = kernel if kernel is not None else KernelSpec()
-    return ScatterStream(rows=_kernel_rows(features, kernel, max_candidates), kernel=kernel)
-
-
 def compute_gram(
     features: FeatureSequence,
     kernel: KernelSpec | None = None,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> GramMatrix:
-    """Kernel values for every frame pair, accumulated in float64.
+    """This kernel over these features: the one scatter source of the solvers and the table.
 
-    The dot kernel is taken between rows centred by their column mean, so
-    these are the Gram entries of the centred features; the scatters built
-    from them are those of the raw features. Raises TooManyCandidatesError
-    above ``max_candidates`` frames and ZeroNormRowError when the cosine
-    kernel meets an all-zero row.
+    No Gram entry is formed here; the solvers and :func:`build_variance_table`
+    compute them block by block. The dot kernel is taken between rows centred
+    by their column mean, so these are the Gram entries of the centred
+    features; the scatters built from them are those of the raw features.
+    Raises TooManyCandidatesError above ``max_candidates`` frames and
+    ZeroNormRowError when the cosine kernel meets an all-zero row; the
+    scatters raise PrecisionLossError when a raw one falls below -1e-9, that
+    is when cancellation has destroyed its precision.
     """
     kernel = kernel if kernel is not None else KernelSpec()
-    x = _kernel_rows(features, kernel, max_candidates)
-    g = _kernel_values(x, x, kernel)
-    # Mirror the upper triangle in place so symmetry holds bit-for-bit.
-    for i in range(1, g.shape[0]):
-        g[i, :i] = g[:i, i]
-    np.fill_diagonal(g, _kernel_diagonal(x, kernel))
-    g.setflags(write=False)
-    return GramMatrix(entries=g)
+    rows = _kernel_rows(features, kernel, max_candidates)
+    rows.setflags(write=False)
+    return GramMatrix(rows=rows, kernel=kernel)
 
 
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
-    """The clamped scatter of every window, by the stream's arithmetic off the Gram rows.
+    """The clamped scatter of every window: the blocks the solvers consume, written down.
 
-    Reads the Gram diagonal and the strictly lower triangle, g[e-1, s] for
-    s < e-1, where the stream multiplies features, so equal kernel values
-    give bit-identical scatters from both sources. O(n^2) time; besides the
-    Gram matrix, memory is the returned table plus three blocks. Raises
-    PrecisionLossError when a raw scatter falls below -1e-9.
+    Runs :func:`_scatter_blocks` on the calling thread at the solvers' block
+    width, so every entry is bit-identical to the scatter a solver sees for
+    that window. O(n^2) time; memory is the returned table plus three
+    blocks. Raises PrecisionLossError when a raw scatter falls below -1e-9.
     """
-    g, n = gram.entries, gram.n
-    diag = np.diagonal(g)
+    n = gram.n
     var_matrix = np.zeros((n + 1, n + 1))
-    width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
-    def gram_rows(e0: int, cols: int, out: np.ndarray) -> None:
-        np.copyto(out, g[e0 - 1 : cols, :cols])
     # No worker thread: a block copy is too light a consumer for a prefetch to pay.
-    for e0, raw in _scatter_blocks(diag, width, gram_rows):
+    for e0, raw in _scatter_blocks(gram, _block_width(n)):
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
-    return VarianceTable(var_matrix=var_matrix, trace=float(diag.sum()))
+    return VarianceTable(var_matrix=var_matrix, trace=gram.trace)
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
@@ -484,20 +463,21 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
         )
 
 
-def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
+def _solve_rows(table: VarianceTable | GramMatrix, m_max: int, min_len: int):
     """Fill DP rows 1..m_max of best-cost prefixes plus argmin backpointers.
 
     cost[i][e] is the optimal scatter of splitting [0, e) into i segments
     of length >= min_len (inf when infeasible); back[i][e] the leftmost
-    argmin start of the last segment. One sweep over blocks of end indices
-    e fills every row for the block before moving on: row i needs row i-1
-    only at starts t <= e - min_len, which earlier blocks or this block's
-    previous row already hold. Each row touches only its feasible cells,
-    ends e >= i*min_len and starts lo[i] <= t <= e - min_len.
+    argmin start of the last segment. One sweep over steps of end indices
+    e (the source's blocks, split into at most _DP_ENDS ends each) fills
+    every row for the step before moving on: row i needs row i-1 only at
+    starts t <= e - min_len, which earlier steps or this step's previous
+    row already hold. Each row touches only its feasible cells, ends
+    e >= i*min_len and starts lo[i] <= t <= e - min_len.
 
-    lo[i] starts at (i-1)*min_len and only grows. After each block but the
+    lo[i] starts at (i-1)*min_len and only grows. After each step but the
     last, row i compares its starts at end e = e1 - min_len, the last end
-    whose verdict holds for every end of the next block: a start t with
+    whose verdict holds for every end of the next step: a start t with
     cost[i-1][t] + var(t, e) > cost[i-1][e] + margin loses to start e at
     every end e' >= e + min_len, because var(t, e') >= var(t, e) +
     var(e, e'). lo[i] skips the leading run of such starts. The margin
@@ -520,13 +500,13 @@ def _solve_rows(table: VarianceTable | ScatterStream, m_max: int, min_len: int):
     margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
     # Blocks small enough to stay cache-resident; the add/argmin pair then
     # streams each block once per DP row.
-    width = max(_BLOCK_BYTES // (8 * (n + 1)), 1)
+    width = _block_width(n)
     cand = np.empty(min(width, n) * n)
-    # Closing the source on any exit stops and joins the stream's worker thread.
+    # Closing the source on any exit stops and joins a GramMatrix's worker thread.
     with closing(table.blocks(width)) as blocks:
-        for e0, var in blocks:
+        for e0, var in _steps(blocks, _DP_ENDS):
             e1 = e0 + var.shape[0]
-            stop = e1 - min_len  # feasible starts of the block's last end lie below
+            stop = e1 - min_len  # feasible starts of the step's last end lie below
             if stop <= 0:
                 continue
             var = var[:, :stop]
@@ -568,7 +548,7 @@ def _segmentation(n: int, m: int, cost, back, min_len: int, **penalty) -> Segmen
 
 
 def solve_fixed(
-    table: VarianceTable | ScatterStream, m: int, min_segment_length: int = 1
+    table: VarianceTable | GramMatrix, m: int, min_segment_length: int = 1
 ) -> Segmentation:
     """Globally optimal segmentation into exactly m segments.
 
@@ -584,7 +564,7 @@ def solve_fixed(
 
 
 def solve_auto(
-    table: VarianceTable | ScatterStream,
+    table: VarianceTable | GramMatrix,
     m_max: int,
     penalty_weight: float = 1.0,
     min_segment_length: int = 1,
@@ -615,7 +595,7 @@ def solve_auto(
 
 
 def solve_range(
-    table: VarianceTable | ScatterStream,
+    table: VarianceTable | GramMatrix,
     m_values: Iterable[int],
     min_segment_length: int = 1,
 ) -> list[Segmentation]:

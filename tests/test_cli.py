@@ -134,7 +134,7 @@ def test_memory_exhaustion_is_a_one_line_error(blocks_csv, tmp_path, monkeypatch
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "stream_scatter", exhausted)
+    monkeypatch.setattr(cli, "compute_gram", exhausted)
     argv = ["segment", "--features", str(blocks_csv), "--m", "2", "--out", str(tmp_path / "x.json")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == ["error: out of memory in segment"]
@@ -424,6 +424,19 @@ def test_eval_rejects_documents_of_different_candidate_counts(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:") and "100" in lines[0] and "300" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "n, change_points", [(10, [0, 4, 12]), (0, []), (10, [4, 10]), (10, [6, 6]), (10, [7, 3])]
+)
+def test_eval_rejects_impossible_boundaries(tmp_path, n, change_points):
+    pred, bad = tmp_path / "pred.json", tmp_path / "bad.json"
+    write_truth(GroundTruth(n=10, change_points=(4,), seed=0), pred)
+    bad.write_text(json.dumps({"schema": "kts-truth/1", "n": n, "changePoints": change_points, "seed": 0}))
+    res = run_cli("eval", "--pred", pred, "--truth", bad, "--tolerance", 2)
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), res.stderr
+
+
 def test_eval_accepts_segmentation_documents(blocks_csv, tmp_path):
     seg_path = tmp_path / "seg.json"
     run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", seg_path)
@@ -445,7 +458,6 @@ def test_oracle_check_refuses_large_instances_before_solving(tmp_path, monkeypat
     def solve_first(*args, **kwargs):
         raise AssertionError("oracle-check solved an instance the oracle refuses")
 
-    monkeypatch.setattr(cli, "stream_scatter", solve_first)
     monkeypatch.setattr(cli, "compute_gram", solve_first)
     assert cli.main(["oracle-check", "--features", str(path), "--m", "2"]) == 1
     assert capsys.readouterr().err.splitlines() == [

@@ -317,6 +317,15 @@ def test_read_boundaries_from_segmentation_or_truth(tmp_path):
         read_boundaries(plan_path)
 
 
+@pytest.mark.parametrize("n, change_points", [(10, [0, 4]), (0, []), (10, [4, 10]), (10, [6, 6]), (10, [7, 3])])
+def test_boundary_readers_reject_impossible_boundaries(tmp_path, n, change_points):
+    path = tmp_path / "truth.json"
+    write_truth(GroundTruth(n=n, change_points=tuple(change_points), seed=1), path)
+    for read in (read_truth, read_boundaries):
+        with pytest.raises(InvariantViolationError, match="truth.json"):
+            read(path)
+
+
 def test_write_errors_carry_path_context(tmp_path):
     plan = make_plan()
     with pytest.raises(OSError, match="not a file path"):

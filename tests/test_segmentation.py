@@ -1,4 +1,4 @@
-"""Core solver tests: Gram matrices, both scatter sources, and the DP solves."""
+"""Core solver tests: kernel values, the Gram source and its dense table, and the DP solves."""
 
 import math
 import threading
@@ -32,7 +32,6 @@ from ktseg import (
     solve_auto,
     solve_fixed,
     solve_range,
-    stream_scatter,
 )
 from ktseg import segmentation
 
@@ -56,6 +55,21 @@ def gram_window_scatter(gram, a, b):
     return float(np.trace(block) - block.sum() / (b - a))
 
 
+def numpy_gram(values, kernel):
+    """The full Gram matrix by plain numpy; the dot scatter ignores centring."""
+    x = np.asarray(values, dtype=np.float64)
+    if kernel.kind == "cosine":
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    if kernel.kind == "rbf":
+        return np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / (2 * kernel.bandwidth**2))
+    return x @ x.T
+
+
+def kernel_entries(gram):
+    """Every kernel value of a GramMatrix, formed from its rows."""
+    return segmentation._kernel_values(gram.rows, gram.rows, gram.kernel)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 
@@ -63,58 +77,48 @@ def gram_window_scatter(gram, a, b):
 def test_gram_orthonormal_rows():
     # The dot kernel compares rows centred by their column mean [0.5, 0.5].
     g = compute_gram(FeatureSequence(values=[[1.0, 0.0], [0.0, 1.0]]))
-    assert g.entries.tolist() == [[0.5, -0.5], [-0.5, 0.5]]
+    assert kernel_entries(g).tolist() == [[0.5, -0.5], [-0.5, 0.5]]
 
 
 def test_gram_cosine_self_similarity():
     g = compute_gram(FeatureSequence(values=[[3.0, 4.0]]), KernelSpec(kind="cosine"))
-    assert g.entries.tolist() == [[1.0]]
+    assert kernel_entries(g).tolist() == [[1.0]]
 
 
 def test_gram_duplicated_rows_block_structure():
     g = compute_gram(FeatureSequence(values=TWO_BLOCKS))
     expected = [[1, 1, -1, -1], [1, 1, -1, -1], [-1, -1, 1, 1], [-1, -1, 1, 1]]
-    assert (2.0 * g.entries).tolist() == expected
-
-
-def test_gram_is_exactly_symmetric():
-    rng = np.random.default_rng(5)
-    g = compute_gram(FeatureSequence(values=rng.standard_normal((40, 7))))
-    assert np.array_equal(g.entries, g.entries.T)
+    assert (2.0 * kernel_entries(g)).tolist() == expected
 
 
 def test_gram_cosine_rejects_zero_rows():
     feats = FeatureSequence(values=[[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ZeroNormRowError, match="row 1"):
         compute_gram(feats, KernelSpec(kind="cosine"))
-    with pytest.raises(ZeroNormRowError, match="row 1"):
-        stream_scatter(feats, KernelSpec(kind="cosine"))
 
 
 def test_gram_candidate_cap():
     feats = FeatureSequence(values=np.ones((5, 2)))
     with pytest.raises(TooManyCandidatesError):
         compute_gram(feats, max_candidates=4)
-    with pytest.raises(TooManyCandidatesError):
-        stream_scatter(feats, max_candidates=4)
     compute_gram(feats, max_candidates=5)
-    stream_scatter(feats, max_candidates=5)
 
 
 def test_gram_rbf_entries_in_unit_interval():
     rng = np.random.default_rng(6)
     feats = FeatureSequence(values=rng.standard_normal((12, 3)))
     g = compute_gram(feats, KernelSpec(kind="rbf", bandwidth=1.5))
-    assert (g.entries > 0).all() and (g.entries <= 1).all()
-    assert np.diagonal(g.entries).tolist() == [1.0] * 12
+    entries = kernel_entries(g)
+    assert (entries > 0).all() and (entries <= 1).all()
+    assert segmentation._kernel_diagonal(g.rows, g.kernel).tolist() == [1.0] * 12
 
 
 def test_rbf_kernel_values_past_float64_are_zero():
     # d^2 / (2*bw^2) = 5e319 overflows; the kernel value it stands for is 0 in float64.
     feats = FeatureSequence(values=[[0.0], [1e10], [0.0]])
     kernel = KernelSpec(kind="rbf", bandwidth=1e-150)
-    assert compute_gram(feats, kernel).entries.tolist() == [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
-    assert solve_fixed(stream_scatter(feats, kernel), 3).change_points == (1, 2)
+    assert kernel_entries(compute_gram(feats, kernel)).tolist() == [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
+    assert solve_fixed(compute_gram(feats, kernel), 3).change_points == (1, 2)
 
 
 def test_kernel_spec_validation():
@@ -179,8 +183,8 @@ def test_var_values_nonnegative():
 
 
 def stacked_stream_blocks(values, width):
-    """The stream's blocks written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
-    stream = stream_scatter(FeatureSequence(values=values))
+    """The solvers' blocks written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
+    stream = compute_gram(FeatureSequence(values=values))
     var = np.zeros((stream.n + 1, stream.n + 1))
     for e0, v in stream.blocks(width):
         var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
@@ -206,11 +210,11 @@ def test_table_matches_direct_feature_evaluation(seed):
 def test_table_matches_direct_gram_evaluation(kernel):
     rng = np.random.default_rng(11)
     values = rng.standard_normal((25, 5)) + 0.5
-    gram = compute_gram(FeatureSequence(values=values), kernel)
-    table = build_variance_table(gram)
+    gram = numpy_gram(values, kernel)
+    table = build_variance_table(compute_gram(FeatureSequence(values=values), kernel))
     for a in range(0, 25, 3):
         for b in range(a + 1, 26, 4):
-            expected = gram_window_scatter(gram.entries, a, b)
+            expected = gram_window_scatter(gram, a, b)
             assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
@@ -219,7 +223,7 @@ def test_precision_loss_raises_from_both_sources():
     with pytest.raises(PrecisionLossError) as dense:
         build_variance_table(compute_gram(feats))
     with pytest.raises(PrecisionLossError):
-        solve_fixed(stream_scatter(feats), 2)
+        solve_fixed(compute_gram(feats), 2)
     assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
 
 
@@ -233,7 +237,7 @@ def test_kernel_overflow_raises_from_both_sources(scale, kernel):
     with pytest.raises(PrecisionLossError, match="overflow"):
         build_variance_table(compute_gram(feats, kernel))
     with pytest.raises(PrecisionLossError, match="overflow"):
-        solve_fixed(stream_scatter(feats, kernel), 2)
+        solve_fixed(compute_gram(feats, kernel), 2)
 
 
 def test_precision_check_rejects_nan():
@@ -259,7 +263,7 @@ def test_stream_matches_dense_reference(seed, kernel, min_len, block_bytes):
     feats = FeatureSequence(values=rng.standard_normal((n, int(rng.integers(1, 6)))))
     ms = range(1, n // min_len + 1)
     with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
-        streamed = solve_range(stream_scatter(feats, kernel), ms, min_len)
+        streamed = solve_range(compute_gram(feats, kernel), ms, min_len)
         dense = solve_range(build_variance_table(compute_gram(feats, kernel)), ms, min_len)
     for got, want in zip(streamed, dense):
         assert got.change_points == want.change_points
@@ -315,16 +319,20 @@ def full_square_rows(source, m_max, min_len, width):
     min_len=st.integers(1, 4),
     # 8 bytes forces one end index per block; 2048 a few per block at these n.
     block_bytes=st.sampled_from([8, 2048, 4 * 2**20]),
+    # DP steps of at most 1 or 3 ends split every wider block; 128 splits none here.
+    dp_ends=st.sampled_from([1, 3, 128]),
 )
 @settings(max_examples=150, deadline=None)
-def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min_len, block_bytes):
+def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min_len, block_bytes, dp_ends):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
-    source = build_variance_table(compute_gram(feats, kernel)) if dense else stream_scatter(feats, kernel)
+    source = build_variance_table(compute_gram(feats, kernel)) if dense else compute_gram(feats, kernel)
     recorded = RecordedWidth(source)
     m_max = int(rng.integers(1, n // min_len + 1))
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes), mock.patch.object(
+        segmentation, "_DP_ENDS", dp_ends
+    ):
         cost, back = segmentation._solve_rows(recorded, m_max, min_len)
     want_cost, want_back = full_square_rows(source, m_max, min_len, recorded.width)
     assert np.array_equal(cost, want_cost)
@@ -368,15 +376,14 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, de
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
-    stream = stream_scatter(feats, kernel)
-    x, diag = stream.rows, segmentation._kernel_diagonal(stream.rows, kernel)
-    if dense:  # the dense reference reads Gram rows where the stream multiplies
-        gram = compute_gram(feats, kernel)
-        source, g = build_variance_table(gram), gram.entries
-        kernel_columns = lambda e0, cols: g[e0 - 1 : cols, :cols]
-    else:
-        source = stream
-        kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
+    gram = compute_gram(feats, kernel)
+    x, diag = gram.rows, segmentation._kernel_diagonal(gram.rows, kernel)
+    # Both sources take a block's kernel columns from one matmul, whose last bits
+    # depend on its shape (rows of a full-square Gram can differ), so the table
+    # is built at the width its blocks are read back at.
+    kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+        source = build_variance_table(gram) if dense else gram
     width = max(block_bytes // (8 * (n + 1)), 1)
     count = 0
     unfused = unfused_scatter_blocks(diag, width, kernel_columns)
@@ -400,7 +407,7 @@ def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
     baseline = threading.active_count()
     values = np.random.default_rng(9).standard_normal((40, 4))
     values[30:] *= 1e4
-    stream = stream_scatter(FeatureSequence(values=values))
+    stream = compute_gram(FeatureSequence(values=values))
     passed = []
     with pytest.raises(PrecisionLossError):
         for e0, _ in stream.blocks(4):
@@ -423,7 +430,7 @@ def test_worker_exception_is_reraised_unchanged(solve):
             raise boom
         return kernel_values(*args, **kwargs)
 
-    stream = stream_scatter(FeatureSequence(values=np.random.default_rng(2).standard_normal((40, 2))))
+    stream = compute_gram(FeatureSequence(values=np.random.default_rng(2).standard_normal((40, 2))))
     with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
         with mock.patch.object(segmentation, "_kernel_values", failing):
             with pytest.raises(RuntimeError) as raised:
@@ -463,30 +470,25 @@ def test_dp_failure_mid_stream_joins_the_worker():
     with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
         with mock.patch.object(segmentation, "np", FailingAdd(20)):
             with pytest.raises(RuntimeError, match="DP failed"):
-                solve_fixed(stream_scatter(feats), 5)
+                solve_fixed(compute_gram(feats), 5)
     assert_workers_joined(baseline)
 
 
 def test_single_block_solve_starts_no_thread():
     feats = FeatureSequence(values=np.random.default_rng(4).standard_normal((200, 3)))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
-        assert solve_auto(stream_scatter(feats), 8).m >= 1
+        assert solve_auto(compute_gram(feats), 8).m >= 1
 
 
 def test_scatter_blocks_start_no_thread():
-    x = np.random.default_rng(6).standard_normal((40, 3))
-
-    def matmul_columns(e0, cols, out):
-        segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], KernelSpec(), out=out)
-
-    diag = segmentation._kernel_diagonal(x, KernelSpec())
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
-        ends = [e0 for e0, _ in segmentation._scatter_blocks(diag, 4, matmul_columns)]
+        ends = [e0 for e0, _ in segmentation._scatter_blocks(gram, 4)]
     assert ends == list(range(1, 41, 4))
 
 
 def test_held_block_is_unchanged_after_the_worker_computes_the_next():
-    stream = stream_scatter(FeatureSequence(values=np.random.default_rng(7).standard_normal((40, 3))))
+    stream = compute_gram(FeatureSequence(values=np.random.default_rng(7).standard_normal((40, 3))))
     produced, finished = {}, {e0: threading.Event() for e0 in range(1, 41, 4)}
     scatter_blocks = segmentation._scatter_blocks
 
@@ -511,12 +513,24 @@ def test_streaming_solve_holds_less_than_one_dense_array():
     feats = FeatureSequence(values=np.random.default_rng(12).standard_normal((3000, 8)))
     tracemalloc.start()
     try:
-        seg = solve_fixed(stream_scatter(feats), 8)
+        seg = solve_fixed(compute_gram(feats), 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert seg.m == 8
     assert peak < 3001**2 * 8, f"streaming solve peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_dense_build_holds_one_dense_array():
+    feats = FeatureSequence(values=np.random.default_rng(13).standard_normal((2000, 32)))
+    tracemalloc.start()
+    try:
+        table = build_variance_table(compute_gram(feats))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n == 2000
+    assert peak < 1.5 * 2001**2 * 8, f"dense build peaked at {peak / (2001**2 * 8):.2f} tables"
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +642,7 @@ def test_solve_auto_rejects_bad_weight():
 
 def test_solve_auto_clamps_m_max_to_what_fits():
     rng = np.random.default_rng(24)
-    source = stream_scatter(FeatureSequence(values=rng.standard_normal((20, 3))))
+    source = compute_gram(FeatureSequence(values=rng.standard_normal((20, 3))))
     assert solve_auto(source, 32) == solve_auto(source, 20)
     assert solve_auto(source, 32, min_segment_length=3) == solve_auto(source, 6, min_segment_length=3)
     with pytest.raises(InfeasibleSegmentCountError):
@@ -660,7 +674,7 @@ def test_solve_auto_is_first_minimiser_over_solve_range(
         if shape == "planted":
             values += rng.normal(scale=3.0, size=(5, d))[np.sort(rng.integers(0, 5, n))]
     feats = FeatureSequence(values=values)
-    source = build_variance_table(compute_gram(feats, kernel)) if dense else stream_scatter(feats, kernel)
+    source = build_variance_table(compute_gram(feats, kernel)) if dense else compute_gram(feats, kernel)
     m_max = int(rng.integers(1, n + 3))
     penalty = (lambda m, n, weight: 0.0) if zero_penalty else segment_count_penalty
     with mock.patch.object(segmentation, "segment_count_penalty", penalty):
@@ -732,7 +746,7 @@ def test_change_points_invariant_under_constant_shift(seed, shift):
                                   noise_sigma=0.03, seed=seed, min_segment_length=12)).features.values
     shifted = FeatureSequence(values=values + np.asarray(shift))
     base = FeatureSequence(values=values)
-    assert solve_fixed(stream_scatter(shifted), 8).change_points == solve_fixed(stream_scatter(base), 8).change_points
+    assert solve_fixed(compute_gram(shifted), 8).change_points == solve_fixed(compute_gram(base), 8).change_points
     assert solve_fixed(table_for(shifted.values), 8).change_points == solve_fixed(table_for(values), 8).change_points
 
 
