@@ -14,7 +14,6 @@ import numpy as np
 from ktseg import (
     SynthConfig,
     boundary_metrics,
-    build_variance_table,
     compute_gram,
     generate,
     objective_comparison,
@@ -39,12 +38,12 @@ for seed in range(SEEDS):
         min_segment_length=8,
     )
     instance = generate(config)
-    table = build_variance_table(compute_gram(instance.features))
+    gram = compute_gram(instance.features)
     truth = list(instance.true_change_points)
     for m in grid:
-        comp = objective_comparison(table, m)
+        comp = objective_comparison(gram, m)
         rows.append((seed, m, comp.kts_objective, comp.uniform_objective))
-    pred = list(solve_fixed(table, SEGMENTS).change_points)
+    pred = list(solve_fixed(gram, SEGMENTS).change_points)
     kts_f1 = boundary_metrics(pred, truth, tolerance=2).f1
     uni_f1 = boundary_metrics(list(uniform_change_points(N, SEGMENTS)), truth, tolerance=2).f1
     f1_gap.append(kts_f1 - uni_f1)

@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--segments", type=_positive_int, required=True)
     sweep.add_argument("--separation", type=_nonnegative_float, required=True)
     sweep.add_argument("--sigma", type=_nonnegative_float, required=True)
-    sweep.add_argument("--min-seg-len", type=_positive_int, default=1)
+    sweep.add_argument("--min-seg-len", type=_positive_int, default=1,
+                       help="shortest planted segment; the solver may cut shorter ones")
     sweep.add_argument("--tolerance", type=_nonnegative_int, default=2)
     sweep.add_argument("--out", required=True, help="CSV to write")
     return parser
@@ -241,11 +242,7 @@ def _cmd_oracle_check(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     cap = _candidate_cap(parser)
-    grid = []
-    for div in SWEEP_DIVISORS:
-        m = max(args.n // div, 1)
-        if m not in grid:
-            grid.append(m)
+    grid = list(dict.fromkeys(max(args.n // div, 1) for div in SWEEP_DIVISORS))  # distinct, in order
     rows = []
     for seed in range(args.seeds):
         config = SynthConfig(
@@ -258,15 +255,12 @@ def _cmd_sweep(parser, args) -> int:
             min_segment_length=args.min_seg_len,
         )
         instance = generate(config)
-        table = build_variance_table(compute_gram(instance.features, max_candidates=cap))
+        gram = compute_gram(instance.features, max_candidates=cap)
         truth = list(instance.true_change_points)
-        solved = solve_range(table, grid)
-        for m, seg in zip(grid, solved):
-            comparison = compare_to_uniform(table, seg)
+        solved = solve_range(gram, grid)
+        for m, seg, comparison in zip(grid, solved, compare_to_uniform(gram, solved)):
             kts_f1 = boundary_metrics(list(seg.change_points), truth, args.tolerance).f1
-            uni_f1 = boundary_metrics(
-                list(uniform_change_points(args.n, m)), truth, args.tolerance
-            ).f1
+            uni_f1 = boundary_metrics(uniform_change_points(args.n, m), truth, args.tolerance).f1
             rows.append((seed, m, comparison.kts_objective, comparison.uniform_objective, kts_f1, uni_f1))
 
     lines = ["seed,m,ktsObjective,uniformObjective,ktsF1,uniformF1"]

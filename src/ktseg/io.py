@@ -291,15 +291,18 @@ def read_segmentation(path: str | Path) -> Segmentation:
     schema = doc.get("schema")
     if schema != SEGMENTATION_SCHEMA:
         raise SchemaMismatchError(f"{path}: schema {schema!r}, expected {SEGMENTATION_SCHEMA!r}")
-    return Segmentation(
-        n=int(_require(doc, "n", int, path)),
-        m=int(_require(doc, "m", int, path)),
-        change_points=tuple(_int_list(doc, "changePoints", path)),
-        objective=float(_require(doc, "objective", (int, float), path)),
-        penalty=float(_require(doc, "penalty", (int, float), path)),
-        penalty_weight=float(_require(doc, "penaltyWeight", (int, float), path)),
-        min_segment_length=int(_require(doc, "minSegmentLength", int, path)),
-    )
+    try:
+        return Segmentation(
+            n=int(_require(doc, "n", int, path)),
+            m=int(_require(doc, "m", int, path)),
+            change_points=tuple(_int_list(doc, "changePoints", path)),
+            objective=float(_require(doc, "objective", (int, float), path)),
+            penalty=float(_require(doc, "penalty", (int, float), path)),
+            penalty_weight=float(_require(doc, "penaltyWeight", (int, float), path)),
+            min_segment_length=int(_require(doc, "minSegmentLength", int, path)),
+        )
+    except InvariantViolationError as exc:  # the reader's own errors already name the file
+        raise InvariantViolationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
 from .sampling import uniform_change_points
-from .segmentation import Segmentation, VarianceTable, placement_objective, solve_fixed
+from .segmentation import GramMatrix, Segmentation, VarianceTable, _window_scatters, solve_fixed
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,29 @@ class ObjectiveComparison(NamedTuple):
     uniform_objective: float
 
 
-def compare_to_uniform(table: VarianceTable, seg: Segmentation) -> ObjectiveComparison:
-    """An optimal segmentation's objective next to the equal-length split's.
+def compare_to_uniform(
+    source: VarianceTable | GramMatrix, segs: Sequence[Segmentation]
+) -> list[ObjectiveComparison]:
+    """Each optimal segmentation's objective next to the equal-length split's at its m.
 
-    The optimum can never exceed the uniform split at the same segment count
-    (it is one of the placements the solver searches); that is re-checked
-    here and a failure would mean the solver itself is broken.
+    One block pass reads every uniform window; each split is summed left to right from 0.0, as the
+    DP sums. The optimum never exceeds it (it is a placement the DP searches): failing means a bug.
     """
-    uniform = placement_objective(table, uniform_change_points(table.n, seg.m))
-    if seg.objective > uniform:
-        raise RuntimeError(
-            f"optimal objective {seg.objective!r} exceeds uniform split {uniform!r}; solver bug"
-        )
-    return ObjectiveComparison(kts_objective=seg.objective, uniform_objective=uniform)
+    bounds = [(0, *uniform_change_points(source.n, seg.m), source.n) for seg in segs]
+    scatters = iter(_window_scatters(source, [w for b in bounds for w in zip(b[:-1], b[1:])]))
+    comparisons = []
+    for seg, b in zip(segs, bounds):
+        uniform = 0.0
+        for _ in range(len(b) - 1):
+            uniform += next(scatters)
+        if seg.objective > uniform:
+            raise RuntimeError(
+                f"optimal objective {seg.objective!r} exceeds uniform split {uniform!r}; solver bug"
+            )
+        comparisons.append(ObjectiveComparison(kts_objective=seg.objective, uniform_objective=uniform))
+    return comparisons
 
 
-def objective_comparison(table: VarianceTable, m: int) -> ObjectiveComparison:
+def objective_comparison(source: VarianceTable | GramMatrix, m: int) -> ObjectiveComparison:
     """Optimal objective next to the equal-length split's objective at m."""
-    return compare_to_uniform(table, solve_fixed(table, m, min_segment_length=1))
+    return compare_to_uniform(source, [solve_fixed(source, m, min_segment_length=1)])[0]

@@ -5,15 +5,15 @@ under a chosen kernel -> globally optimal change points, either for a
 fixed segment count or for an automatically chosen count under a
 parsimony penalty.
 
-One scatter source feeds the DP: ``compute_gram`` keeps the Gram matrix
-implicit in the kernel's input rows, and its ``blocks`` form the kernel
-columns one block of window end indices at a time, one matmul per block,
-and turn them into scatters by O(n) running window masses
-(``_scatter_blocks``), so a solve needs O(m*n) memory.
-``build_variance_table`` writes the same blocks down as the dense
-reference that the brute-force oracle and ``placement_objective`` query;
-its (n+1)^2 table is the only O(n^2) array, and its scatters are those
-the solvers see, bit for bit.
+One scatter source feeds the DP and the KTS-versus-uniform comparison:
+``compute_gram`` keeps the Gram matrix implicit in the kernel's input rows,
+and its ``blocks`` form the kernel columns one block of window end indices
+at a time, one matmul per block, and turn them into scatters by O(n)
+running window masses (``_scatter_blocks``): a solve needs O(m*n) memory,
+chosen windows (``_window_scatters``) O(n*d) plus one block.
+``build_variance_table`` writes the same blocks down as the dense reference
+of the brute-force oracle, ``placement_objective`` and the tests; its
+(n+1)^2 table is the only O(n^2) array, its scatters the solvers', bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -264,6 +264,21 @@ def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndar
         # A single frame has zero scatter by definition; pin it exactly.
         raw[np.arange(w), np.arange(e0 - 1, e0 - 1 + w)] = 0.0
         yield e0, raw
+
+
+def _window_scatters(source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
+    """The scatter of each window [a, b) of ``windows``, in order, off one pass over the source's blocks.
+
+    Each is read from the solvers' block holding end b, so it is var_matrix[a, b] bit for bit.
+    Every window must satisfy 0 <= a < b <= n; callers build them from valid change points.
+    """
+    a, b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
+    order, out = np.argsort(b), np.empty(len(b))
+    with closing(source.blocks(_block_width(source.n))) as blocks:  # closing joins a worker
+        for e0, v in blocks:
+            i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
+            out[i] = v[b[i] - e0, a[i]]
+    return out.tolist()
 
 
 def _steps(blocks: Iterator, most: int) -> Iterator[tuple[int, np.ndarray]]:

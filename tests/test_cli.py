@@ -10,7 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ktseg import FeatureSequence, Segmentation, SynthConfig, cli, generate, sampling
+from ktseg import (
+    FeatureSequence,
+    Segmentation,
+    SynthConfig,
+    build_variance_table,
+    cli,
+    compute_gram,
+    generate,
+    placement_objective,
+    sampling,
+    solve_range,
+    uniform_change_points,
+)
 from ktseg.io import GroundTruth, write_features, write_segmentation, write_truth
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -298,6 +310,25 @@ def test_plan_overflowing_product_is_a_one_line_error(blocks_csv, tmp_path, flag
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "change_points, objective", [("[0]", "0"), ("[5]", "-1"), ("[5]", "1e400")],
+    ids=["empty-segment", "negative-objective", "overflowing-objective"],
+)
+def test_plan_names_the_file_for_invariant_errors(tmp_path, change_points, objective):
+    seg_path = tmp_path / "seg.json"
+    seg_path.write_text(
+        '{"schema": "kts-segmentation/1", "n": 10, "m": 2, "changePoints": %s, "objective": %s, '
+        '"penalty": 0, "penaltyWeight": 0, "minSegmentLength": 1}' % (change_points, objective)
+    )
+    res = run_cli(
+        "plan", "--segmentation", seg_path, "--k", 2,
+        "--duration", 10.0, "--fps", 30, "--rate", 1, "--out", tmp_path / "p.json",
+    )
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {seg_path}: "), res.stderr
+
+
 # ---------------------------------------------------------------------------
 # process entry: one BLAS thread by default
 
@@ -485,11 +516,22 @@ def test_sweep_dominance(tmp_path):
     assert lines[0] == "seed,m,ktsObjective,uniformObjective,ktsF1,uniformF1"
     grid = {48, 24, 16, 12, 8}
     assert len(lines) == 1 + 3 * len(grid)
+    tables = {
+        seed: build_variance_table(compute_gram(generate(SynthConfig(
+            n=48, d=4, segment_count=4, mean_separation=1.0, noise_sigma=0.05, seed=seed,
+            min_segment_length=4,
+        )).features))
+        for seed in range(3)
+    }
+    solved = {seed: {s.m: s for s in solve_range(table, grid)} for seed, table in tables.items()}
     for line in lines[1:]:
         seed, m, kts_obj, uni_obj, kts_f1, uni_f1 = line.split(",")
         assert int(m) in grid
         assert float(kts_obj) <= float(uni_obj)
         assert 0.0 <= float(kts_f1) <= 1.0
+        table = tables[int(seed)]
+        assert uni_obj == "%.17g" % placement_objective(table, uniform_change_points(48, int(m)))
+        assert kts_obj == "%.17g" % solved[int(seed)][int(m)].objective
 
 
 def test_sweep_honours_candidate_cap_env(tmp_path):

@@ -33,7 +33,7 @@ from ktseg import (
     solve_fixed,
     solve_range,
 )
-from ktseg import segmentation
+from ktseg import metrics, segmentation
 
 TWO_BLOCKS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 STEPS_1D = [[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]
@@ -395,8 +395,50 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, de
     assert count == -(-n // width)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    # 8 bytes gives one end index per block; 512 a few, with a partial last block.
+    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+)
+@settings(max_examples=120, deadline=None)
+def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_bytes):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 61)), int(rng.integers(1, 6))
+    gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, d))), kernel)
+    starts = [int(a) for a in rng.integers(0, n, int(rng.integers(1, 30)))]
+    windows = [(a, int(rng.integers(a + 1, n + 1))) for a in starts]  # unsorted by end
+    windows += [(a, a + 1) for a in starts[:3]] + windows[:3]  # single frames and repeats
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+        table = build_variance_table(gram)
+        want = np.array([table.var_matrix[a, b] for a, b in windows])
+        for source in (gram, table):
+            assert np.array(segmentation._window_scatters(source, windows)).tobytes() == want.tobytes()
+
+
+def test_uniform_comparison_holds_less_than_a_quarter_table():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(14).standard_normal((3000, 8))))
+    segs = [Segmentation(n=3000, m=m, change_points=range(1, m), objective=0.0) for m in (1, 8, 64, 3000)]
+    tracemalloc.start()
+    try:
+        comparisons = metrics.compare_to_uniform(gram, segs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [c.uniform_objective > 0.0 for c in comparisons] == [True, True, True, False]
+    assert peak < 3001**2 * 8 / 4, f"comparison peaked at {peak / (3001**2 * 8):.2f} tables"
+
+
 SOLVERS = pytest.mark.parametrize(
-    "solve", [lambda s: solve_fixed(s, 2), lambda s: solve_auto(s, 4)], ids=["solve_fixed", "solve_auto"]
+    "solve",
+    [
+        lambda s: solve_fixed(s, 2),
+        lambda s: solve_auto(s, 4),
+        lambda s: metrics.compare_to_uniform(
+            s, [Segmentation(n=40, m=4, change_points=(10, 20, 30), objective=0.0)]
+        ),
+    ],
+    ids=["solve_fixed", "solve_auto", "compare_to_uniform"],
 )
 #: Block budget giving 4 window ends per block at n = 40.
 FOUR_ENDS_AT_40 = 8 * 41 * 4
@@ -448,30 +490,45 @@ def assert_workers_joined(baseline):
     assert threading.active_count() == baseline
 
 
-class FailingAdd:
-    """numpy, except that np.add raises on its n-th call (the DP's row step)."""
+class FailingCall:
+    """numpy, except that np.<name> raises on its n-th call (np.add: the DP's row step)."""
 
-    def __init__(self, n):
-        self.n, self.calls = n, 0
+    def __init__(self, name, n):
+        self.name, self.n, self.calls = name, n, 0
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        if name != self.name:
+            return getattr(np, name)
 
-    def add(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == self.n:
-            raise RuntimeError("DP failed")
-        return np.add(*args, **kwargs)
+        def failing(*args, **kwargs):
+            self.calls += 1
+            if self.calls == self.n:
+                raise RuntimeError(f"np.{name} failed")
+            return getattr(np, name)(*args, **kwargs)
+
+        return failing
 
 
 def test_dp_failure_mid_stream_joins_the_worker():
     baseline = threading.active_count()
     feats = FeatureSequence(values=np.random.default_rng(3).standard_normal((60, 3)))
     with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
-        with mock.patch.object(segmentation, "np", FailingAdd(20)):
-            with pytest.raises(RuntimeError, match="DP failed"):
+        with mock.patch.object(segmentation, "np", FailingCall("add", 20)):
+            with pytest.raises(RuntimeError, match="np.add failed"):
                 solve_fixed(compute_gram(feats), 5)
     assert_workers_joined(baseline)
+
+
+def test_gather_failure_mid_stream_joins_the_worker():
+    baseline = threading.active_count()
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(3).standard_normal((60, 3))))
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
+        with mock.patch.object(segmentation, "np", FailingCall("searchsorted", 3)):
+            # The held traceback keeps the gatherer's frame, so only closing the pass stops the worker.
+            with pytest.raises(RuntimeError, match="np.searchsorted failed") as raised:
+                segmentation._window_scatters(gram, [(0, 60)])
+    assert_workers_joined(baseline)
+    assert raised.traceback
 
 
 def test_single_block_solve_starts_no_thread():
