@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     seg = sub.add_parser("segment", help="detect change points in a feature file")
     seg.set_defaults(run=_cmd_segment)
     seg.add_argument("--features", required=True, help="feature matrix (.csv or .ktsf)")
-    seg.add_argument("--m", type=_positive_int, help="exact segment count")
-    seg.add_argument("--auto", action="store_true", help="choose the segment count automatically")
+    mode = seg.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--m", type=_positive_int, help="exact segment count")
+    mode.add_argument("--auto", action="store_true", help="choose the segment count automatically")
     seg.add_argument("--max-segments", type=_positive_int, help="upper bound for --auto")
     seg.add_argument("--penalty-weight", type=_positive_float, default=1.0)
     seg.add_argument("--kernel", type=_kernel, default=KernelSpec(), help="dot, cosine, or rbf:BW")
@@ -148,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_segment(parser, args) -> int:
-    if args.m is not None and args.auto:
-        parser.error("--m and --auto are mutually exclusive")
-    if args.m is None and not args.auto:
-        parser.error("one of --m or --auto is required")
     if args.auto and args.max_segments is None:
         parser.error("--auto requires --max-segments")
     scatter = compute_gram(

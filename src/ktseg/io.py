@@ -108,15 +108,24 @@ def render_document(doc: dict) -> str:
     return _render(doc, 0) + "\n"
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path, *schemas: str) -> dict:
+    """The JSON object in ``path``, whose ``schema`` tag must be one of ``schemas``."""
+
+    def reject(literal: str):  # json accepts NaN and the infinities; documents never carry them
+        raise SchemaMismatchError(f"{path}: {literal} is not a JSON number")
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
     except UnicodeDecodeError:
         raise SchemaMismatchError(f"{path}: not UTF-8 text, so not a JSON document") from None
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaMismatchError(f"{path}: expected a JSON object at top level")
+    schema = doc.get("schema")
+    if schema not in schemas:  # two schemas: read_boundaries, which takes either boundary document
+        wanted = f", expected {schemas[0]!r}" if len(schemas) == 1 else " carries no boundaries"
+        raise SchemaMismatchError(f"{path}: schema {schema!r}{wanted}")
     return doc
 
 
@@ -287,10 +296,7 @@ def write_segmentation(seg: Segmentation, path: str | Path, kernel: str = "dot")
 
 
 def read_segmentation(path: str | Path) -> Segmentation:
-    doc = _load_json(path)
-    schema = doc.get("schema")
-    if schema != SEGMENTATION_SCHEMA:
-        raise SchemaMismatchError(f"{path}: schema {schema!r}, expected {SEGMENTATION_SCHEMA!r}")
+    doc = _load_json(path, SEGMENTATION_SCHEMA)
     try:
         return Segmentation(
             n=int(_require(doc, "n", int, path)),
@@ -331,10 +337,7 @@ def write_plan(plan: SamplingPlan, path: str | Path) -> None:
 
 
 def read_plan(path: str | Path) -> SamplingPlan:
-    doc = _load_json(path)
-    schema = doc.get("schema")
-    if schema != PLAN_SCHEMA:
-        raise SchemaMismatchError(f"{path}: schema {schema!r}, expected {PLAN_SCHEMA!r}")
+    doc = _load_json(path, PLAN_SCHEMA)
     k = int(_require(doc, "k", int, path))
     raw_segments = _require(doc, "segments", list, path)
     segments = []
@@ -373,18 +376,11 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    doc = _load_json(path)
-    schema = doc.get("schema")
-    if schema != TRUTH_SCHEMA:
-        raise SchemaMismatchError(f"{path}: schema {schema!r}, expected {TRUTH_SCHEMA!r}")
+    doc = _load_json(path, TRUTH_SCHEMA)
     n, change_points = _boundaries(doc, path)
     return GroundTruth(n=n, change_points=tuple(change_points), seed=int(_require(doc, "seed", int, path)))
 
 
 def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
     """Candidate count n and boundary list from either a segmentation or a ground-truth document."""
-    doc = _load_json(path)
-    schema = doc.get("schema")
-    if schema in (SEGMENTATION_SCHEMA, TRUTH_SCHEMA):
-        return _boundaries(doc, path)
-    raise SchemaMismatchError(f"{path}: schema {schema!r} carries no boundaries")
+    return _boundaries(_load_json(path, SEGMENTATION_SCHEMA, TRUTH_SCHEMA), path)

@@ -9,9 +9,9 @@ One scatter source feeds the DP and the KTS-versus-uniform comparison:
 ``compute_gram`` keeps the Gram matrix implicit in the kernel's input rows,
 and its ``blocks`` form the kernel columns one block of window end indices
 at a time, one matmul per block, and turn them into scatters by O(n)
-running window masses (``_scatter_blocks``): a solve needs O(m*n) memory,
-chosen windows (``_window_scatters``) O(n*d) plus one block.
-``build_variance_table`` writes the same blocks down as the dense reference
+running sums of squared pairwise kernel distances (``_scatter_blocks``):
+a solve needs O(m*n) memory, chosen windows (``_window_scatters``) O(n*d)
+plus one block. ``build_variance_table`` writes the same blocks down as the dense reference
 of the brute-force oracle, ``placement_objective`` and the tests; its
 (n+1)^2 table is the only O(n^2) array, its scatters the solvers', bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
@@ -53,7 +53,7 @@ np = lazy_numpy()
 DEFAULT_CANDIDATE_CAP = 4096
 
 #: Bytes of one column block of window scatters, sized to stay cache-resident (the
-#: block arithmetic holds three: one block of kernel columns and two scatter blocks).
+#: block arithmetic holds two, turned in place from kernel columns into scatters).
 _BLOCK_BYTES = 2 * 2**20
 
 #: Most window ends one DP step takes from a block. Each DP row also evaluates the
@@ -144,11 +144,14 @@ class VarianceTable:
 
     var_matrix[a, b] holds the scatter of window [a, b), that is
 
-        (sum of Gram diagonal over [a, b)) - block(a, b) / (b - a)
+        sum_{a <= s < s' < b} d2(s, s') / (b - a),
+        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
 
-    with block(a, b) the Gram mass of the window, for every a < b; single-
-    frame windows are exactly zero. O(n^2) memory, O(1) per query. trace
-    is the sum of the Gram diagonal, the scale of every scatter.
+    for every a < b: the squared kernel distances of the window's frame pairs,
+    summed and divided by its length. That equals its Gram diagonal sum less
+    its Gram mass over b - a. Single-frame windows are exactly zero. O(n^2)
+    memory, O(1) per query. trace is the sum of the Gram diagonal, the scale
+    of every scatter.
     """
 
     var_matrix: np.ndarray
@@ -220,13 +223,16 @@ def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndar
     """The one scatter arithmetic, computed in place in reused buffers.
 
     Yields the blocks of :meth:`VarianceTable.blocks` for ``gram``. One matmul per
-    block forms the kernel column of each end e = e0 + j, K(e-1, s) for s < cols;
-    only s < e-1 is read. Running window masses follow
+    block forms the kernel column of each end e = e0 + j, K(e-1, s) for s < cols,
+    and turns it into squared kernel distances d2(s, e-1); only s < e-1 is read.
+    Running pair sums follow
 
-        M(t, e) = M(t, e-1) + 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1)
+        P(t, e) = P(t, e-1) + sum_{t <= s < e-1} d2(s, e-1),
+        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
 
-    and the scatter of [t, e) is (sum of diag over [t, e)) - M(t, e) / (e - t).
-    Blocks alternate between two output buffers, so a consumer may hold (and
+    and the scatter of [t, e) is P(t, e) / (e - t), so its rounding depends on
+    the window's own rows only. Entries with t >= e-1 come out exactly 0.
+    Blocks alternate between two buffers, so a consumer may hold (and
     overwrite) block b while block b + 1 is computed. Raises PrecisionLossError
     when a raw scatter falls below -1e-9.
     """
@@ -234,36 +240,27 @@ def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndar
     diag = _kernel_diagonal(x, kernel)
     n = len(diag)
     w_max = min(width, n)
-    prefix = np.zeros(n + 1)
-    np.cumsum(diag, out=prefix[1:])
-    mass = np.zeros(n)  # M(t, e) for t < e at the last end e seen; 0 beyond
+    pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
     lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
     upper = np.arange(w_max) >= np.arange(w_max)[:, None]
-    k_buf, raw_bufs = np.empty(w_max * n), (np.empty(w_max * n), np.empty(w_max * n))
+    bufs = np.empty(w_max * n), np.empty(w_max * n)
     for b, e0 in enumerate(range(1, n + 1, width)):
         w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
-        # k[j, t] = 2 * sum_{t <= s < e-1} K(e-1, s) + K(e-1, e-1) for e = e0 + j, t < e.
-        k = k_buf[: w * cols].reshape(w, cols)
+        k = bufs[b % 2][: w * cols].reshape(w, cols)
         _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=k)
+        k *= -2.0
+        k += diag[:cols]
+        k += diag[e0 - 1 : cols, None]  # k[j, s] = d2(s, e-1) for e = e0 + j
         np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
-        np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new masses
-        k *= 2.0
-        k += diag[e0 - 1 : cols, None]
-        np.copyto(k[:, e0:], 0.0, where=upper[:w, : w - 1])  # drop t > e0 + j - 1
-        k[0] += mass[:cols]
+        np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new pairs
+        k[0] += pairs[:cols]
         for j in range(1, w):
-            k[j] += k[j - 1]  # k[j, t] = M(t, e0 + j)
-        mass[:cols] = k[-1]
+            k[j] += k[j - 1]  # k[j, t] = P(t, e0 + j)
+        pairs[:cols] = k[-1]
         k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
-        raw = raw_bufs[b % 2][: w * cols].reshape(w, cols)
-        np.subtract(prefix[e0 : e0 + w, None], prefix[:cols], out=raw)
-        raw -= k
-        np.copyto(raw[:, e0:], 0.0, where=upper[:w, : w - 1])
-        _check_precision(raw)
-        np.maximum(raw, 0.0, out=raw)
-        # A single frame has zero scatter by definition; pin it exactly.
-        raw[np.arange(w), np.arange(e0 - 1, e0 - 1 + w)] = 0.0
-        yield e0, raw
+        _check_precision(k)
+        np.maximum(k, 0.0, out=k)
+        yield e0, k
 
 
 def _window_scatters(source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
@@ -360,7 +357,8 @@ def _kernel_rows(
     translation invariant, and centred rows keep the Gram entries near the
     scatter's own magnitude, so a large offset cannot cancel it away. Raises
     PrecisionLossError unless 4*n*sum ||x||^2, a bound on every kernel value,
-    window mass and prefix sum, is finite (for cosine: unless every norm is).
+    squared kernel distance and window pair sum, is finite (for cosine: unless
+    every norm is).
     """
     if features.n > max_candidates:
         raise TooManyCandidatesError(
@@ -439,7 +437,7 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
 
     Runs :func:`_scatter_blocks` on the calling thread at the solvers' block
     width, so every entry is bit-identical to the scatter a solver sees for
-    that window. O(n^2) time; memory is the returned table plus three
+    that window. O(n^2) time; memory is the returned table plus two
     blocks. Raises PrecisionLossError when a raw scatter falls below -1e-9.
     """
     n = gram.n
@@ -505,13 +503,14 @@ def _solve_rows(table: VarianceTable | GramMatrix, m_max: int, min_len: int):
     lo = np.arange(-1, m_max) * min_len
     # The margin bounds rounding. Superadditivity holds for exact scatters;
     # each one the shared block arithmetic yields is within r =
-    # 4*(n+1)^2*eps*trace of exact: its running masses add at most 2n
-    # terms whose magnitudes total at most n*trace, and a window of two or
-    # more frames divides that error by its length (single frames are
-    # pinned to 0). Costs and scatters stay below 2*trace, so each of the
-    # three additions behind one comparison rounds by at most 2*eps*trace.
-    # 3r plus those roundings leaves over 3*(n+1)^2*eps*trace of the margin
-    # for the kernel values' own rounding, about 2*d*eps*trace per scatter.
+    # (4n + d + 4)*eps*trace of exact. A window of L frames sums each of its
+    # pairs' d2(s, s') once, through at most 2n additions (the suffix sums,
+    # then the running sum over ends); |d2(s, s')| <= 2*(K(s,s) + K(s',s')),
+    # so its terms total at most 2*(L-1)*trace, and forming one rounds by
+    # about (d+4)*eps*(K(s,s) + K(s',s')). Dividing by L leaves r. Costs and
+    # scatters stay below 2*trace, so each of the three additions behind one
+    # comparison rounds by at most 2*eps*trace. 3r plus those roundings,
+    # (12n + 3d + 18)*eps*trace, stays below the margin for every d <= 4*n^2.
     margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
     # Blocks small enough to stay cache-resident; the add/argmin pair then
     # streams each block once per DP row.

@@ -120,10 +120,11 @@ def test_segment_candidate_cap_env(blocks_csv, tmp_path):
 
 
 def test_segment_precision_loss_is_a_one_line_error(tmp_path):
-    instance = generate(SynthConfig(n=200, d=16, segment_count=8, mean_separation=0.15,
-                                    noise_sigma=0.03, seed=0, min_segment_length=12))
+    # Four static shots of ten rows with 1e-9 jitter, at 1e4: their scatters sink below rounding.
+    rng = np.random.default_rng(0)
+    shots = np.repeat(rng.standard_normal((4, 16)), 10, axis=0) + 1e-9 * rng.standard_normal((40, 16))
     path = tmp_path / "scaled.csv"
-    write_features(FeatureSequence(values=instance.features.values * 1e4), path)
+    write_features(FeatureSequence(values=shots * 1e4), path)
     res = run_cli("segment", "--features", path, "--m", 8, "--out", tmp_path / "x.json")
     assert res.returncode == 1
     assert "Traceback" not in res.stderr

@@ -1,5 +1,6 @@
 """File-format tests: feature matrices, segmentations, plans, ground truth."""
 
+import json
 import math
 import struct
 import warnings
@@ -295,6 +296,38 @@ def test_plan_schema_guard(tmp_path):
     path.write_text('{"schema": "kts-plan/2", "k": 1, "segments": []}')
     with pytest.raises(SchemaMismatchError):
         read_plan(path)
+
+
+def nan_timestamp(doc):
+    doc["segments"][1]["sourceTimestamps"][0] = math.nan
+
+
+def infinite_objective(doc):
+    doc["objective"] = math.inf
+
+
+@pytest.mark.parametrize(
+    "read, write, edit, literal",
+    [
+        (read_plan, lambda path: write_plan(make_plan(), path), nan_timestamp, "NaN"),
+        (
+            read_segmentation,
+            lambda path: write_segmentation(Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0), path),
+            infinite_objective,
+            "Infinity",
+        ),
+    ],
+    ids=["plan NaN timestamp", "segmentation Infinity objective"],
+)
+def test_json_readers_reject_non_finite_literals(tmp_path, read, write, edit, literal):
+    path = tmp_path / "doc.json"
+    write(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))  # json writes the non-finite value as the literal NaN or Infinity
+    assert literal in path.read_text()
+    with pytest.raises(SchemaMismatchError, match=rf"doc\.json: {literal} is not a JSON number"):
+        read(path)
 
 
 def test_truth_round_trip(tmp_path):

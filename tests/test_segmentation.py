@@ -1,5 +1,6 @@
 """Core solver tests: kernel values, the Gram source and its dense table, and the DP solves."""
 
+from fractions import Fraction
 import math
 import threading
 import tracemalloc
@@ -218,13 +219,53 @@ def test_table_matches_direct_gram_evaluation(kernel):
             assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
+def jittered_shots(rng, shots, d, rows=10):
+    """``shots`` static shots of ``rows`` repeats of one N(0, 1)^d row each, plus 1e-9 jitter.
+
+    Scaled by 1e4, their windows' true scatters sink below the rounding of their
+    squared distances, so the scatter guard must raise.
+    """
+    return np.repeat(rng.standard_normal((shots, d)), rows, axis=0) + 1e-9 * rng.standard_normal((shots * rows, d))
+
+
 def test_precision_loss_raises_from_both_sources():
-    feats = FeatureSequence(values=np.random.default_rng(9).standard_normal((40, 4)) * 1e4)
+    feats = FeatureSequence(values=jittered_shots(np.random.default_rng(9), 4, 4) * 1e4)
     with pytest.raises(PrecisionLossError) as dense:
         build_variance_table(compute_gram(feats))
     with pytest.raises(PrecisionLossError):
         solve_fixed(compute_gram(feats), 2)
     assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_static_shots_segment_into_their_shots(seed, scale):
+    # Exact repeats have zero true scatter: within a shot, rounding must stay
+    # above the -1e-9 floor however many other shots the input holds.
+    shots = np.random.default_rng(seed).standard_normal((30, 512)) * scale
+    seg = solve_fixed(compute_gram(FeatureSequence(values=np.repeat(shots, 20, axis=0))), 30)
+    assert seg.change_points == tuple(range(20, 600, 20))
+
+
+def test_window_scatters_are_exact_to_their_own_rows():
+    # Large rows ahead of small ones: a window among the small rows must keep
+    # the precision of its own rows, not of the whole input's trace.
+    rng = np.random.default_rng(12)
+    signs = np.array([rng.permutation(np.repeat([1, -1], 30)) for _ in range(3)]).T
+    values = np.vstack([1000.0 * signs, rng.uniform(-3.0, 3.0, (60, 3))])
+    gram = compute_gram(FeatureSequence(values=values))
+    table = build_variance_table(gram)
+    diag = segmentation._kernel_diagonal(gram.rows, gram.kernel)
+    exact = [[Fraction(v) for v in row] for row in values]
+    eps = np.finfo(np.float64).eps
+    for a in range(60, 120):
+        sums, squares = [Fraction(0)] * 3, Fraction(0)
+        for b in range(a + 1, 121):
+            sums = [s + v for s, v in zip(sums, exact[b - 1])]
+            squares += sum(v * v for v in exact[b - 1])
+            want = squares - sum(s * s for s in sums) / (b - a)
+            bound = (b - a) * eps * diag[a:b].sum()
+            assert abs(Fraction(table.var(a, b)) - want) <= Fraction(bound), (a, b)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
@@ -340,27 +381,19 @@ def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min
 
 
 def unfused_scatter_blocks(diag, width, kernel_columns):
-    """The scatter formula as first written: full tril copies and cumulative sums."""
+    """The pair-sum scatter formula written out: full d2 blocks, tril copies and cumulative sums."""
     n = len(diag)
-    prefix = np.zeros(n + 1)
-    np.cumsum(diag, out=prefix[1:])
-    mass = np.zeros(n)
+    pairs = np.zeros(n)
     for e0 in range(1, n + 1, width):
         e1 = min(e0 + width, n + 1)
         cols, ends = e1 - 1, np.arange(e0, e1)
-        k = np.tril(kernel_columns(e0, cols), e0 - 2)
-        inc = np.cumsum(k[:, ::-1], axis=1)[:, ::-1]
-        inc *= 2.0
-        inc += diag[e0 - 1 : cols, None]
-        inc = np.tril(inc, e0 - 1)
-        inc[0] += mass[:cols]
+        d2 = -2.0 * kernel_columns(e0, cols) + diag[:cols] + diag[e0 - 1 : cols, None]
+        inc = np.cumsum(np.tril(d2, e0 - 2)[:, ::-1], axis=1)[:, ::-1]  # sum over t <= s < e - 1
+        inc[0] += pairs[:cols]
         np.cumsum(inc, axis=0, out=inc)
-        mass[:cols] = inc[-1]
-        inc /= np.maximum(ends[:, None] - np.arange(cols), 1)
-        raw = np.tril(np.subtract.outer(prefix[e0:e1], prefix[:cols]) - inc, e0 - 1)
-        np.maximum(raw, 0.0, out=raw)
-        raw[ends - e0, ends - 1] = 0.0
-        yield e0, raw
+        pairs[:cols] = inc[-1]
+        raw = inc / np.maximum(ends[:, None] - np.arange(cols), 1)
+        yield e0, np.maximum(raw, 0.0)
 
 
 @given(
@@ -447,14 +480,15 @@ FOUR_ENDS_AT_40 = 8 * 41 * 4
 @SOLVERS
 def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
     baseline = threading.active_count()
-    values = np.random.default_rng(9).standard_normal((40, 4))
-    values[30:] *= 1e4
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((40, 4))
+    values[20:] = jittered_shots(rng, 2, 4) * 1e4
     stream = compute_gram(FeatureSequence(values=values))
     passed = []
     with pytest.raises(PrecisionLossError):
         for e0, _ in stream.blocks(4):
             passed.append(e0)
-    assert len(passed) == 6  # blocks of ends up to 24 are fine; the error comes from a later one
+    assert len(passed) == 5  # blocks of ends up to 20 are fine; the error comes from a later one
     with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
         with pytest.raises(PrecisionLossError):
             solve(stream)
