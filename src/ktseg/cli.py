@@ -14,12 +14,13 @@ import sys
 
 from . import io
 from .errors import CandidateCountMismatchError, KtsError
-from .metrics import boundary_metrics, compare_to_uniform
+from .metrics import _against_uniform, _uniform_windows, boundary_metrics
 from .oracle import _check_size, brute_force
 from .sampling import VideoTimeline, plan_samples, uniform_change_points
 from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
     KernelSpec,
+    _WindowGather,
     build_variance_table,
     compute_gram,
     solve_auto,
@@ -133,7 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--kernel", type=_kernel, default=KernelSpec())
     oc.add_argument("--min-seg-len", type=_positive_int, default=1)
 
-    sweep = sub.add_parser("sweep", help="KTS vs uniform across a segment-count grid")
+    sweep = sub.add_parser(
+        "sweep", help="KTS vs uniform across the segment counts n/{1,2,3,4,6}",
+        description="Compare KTS with uniform sampling on synthetic instances of seeds 0..seeds-1 "
+        "at the segment counts n // {1,2,3,4,6} (at least 1, duplicates once).",
+    )
     sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds (0..seeds-1)")
     sweep.add_argument("--n", type=_positive_int, required=True)
@@ -254,8 +259,10 @@ def _cmd_sweep(parser, args) -> int:
         instance = generate(config)
         gram = compute_gram(instance.features, max_candidates=cap)
         truth = list(instance.true_change_points)
-        solved = solve_range(gram, grid)
-        for m, seg, comparison in zip(grid, solved, compare_to_uniform(gram, solved)):
+        gather = _WindowGather(gram, _uniform_windows(args.n, grid))
+        solved = solve_range(gather, grid)  # its one block pass also reads the uniform windows
+        comparisons = _against_uniform(solved, gather.scatters.tolist())
+        for m, seg, comparison in zip(grid, solved, comparisons):
             kts_f1 = boundary_metrics(list(seg.change_points), truth, args.tolerance).f1
             uni_f1 = boundary_metrics(uniform_change_points(args.n, m), truth, args.tolerance).f1
             rows.append((seed, m, comparison.kts_objective, comparison.uniform_objective, kts_f1, uni_f1))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
 from .sampling import uniform_change_points
@@ -44,11 +45,10 @@ def boundary_metrics(
     pred = _check_increasing("predicted", predicted)
     true = _check_increasing("truth", truth)
 
-    pairs = sorted(
-        (abs(p - t), pi, ti)
+    pairs = sorted(  # truths within tolerance of p lie in one run of the sorted truth list
+        (abs(p - true[ti]), pi, ti)
         for pi, p in enumerate(pred)
-        for ti, t in enumerate(true)
-        if abs(p - t) <= tolerance
+        for ti in range(bisect_left(true, p - tolerance), bisect_right(true, p + tolerance))
     )
     used_pred: set[int] = set()
     used_true: set[int] = set()
@@ -77,20 +77,27 @@ class ObjectiveComparison(NamedTuple):
     uniform_objective: float
 
 
-def compare_to_uniform(
-    source: VarianceTable | GramMatrix, segs: Sequence[Segmentation]
-) -> list[ObjectiveComparison]:
-    """Each optimal segmentation's objective next to the equal-length split's at its m.
+def _uniform_windows(n: int, ms: Sequence[int]) -> list[tuple[int, int]]:
+    """The m windows of the equal-length split of [0, n) for each m of ``ms``, in turn, left to right."""
+    windows = []
+    for m in ms:
+        bounds = (0, *uniform_change_points(n, m), n)
+        windows += zip(bounds[:-1], bounds[1:])
+    return windows
 
-    One block pass reads every uniform window; each split is summed left to right from 0.0, as the
-    DP sums. The optimum never exceeds it (it is a placement the DP searches): failing means a bug.
+
+def _against_uniform(segs: Sequence[Segmentation], scatters: Iterable[float]) -> list[ObjectiveComparison]:
+    """Each segmentation's objective next to the equal-length split's at its m.
+
+    ``scatters`` holds the windows of every split in :func:`_uniform_windows` order. Each split
+    is summed left to right from 0.0, as the DP sums. The optimum never exceeds it (it is a
+    placement the DP searches): failing means a bug.
     """
-    bounds = [(0, *uniform_change_points(source.n, seg.m), source.n) for seg in segs]
-    scatters = iter(_window_scatters(source, [w for b in bounds for w in zip(b[:-1], b[1:])]))
+    scatters = iter(scatters)
     comparisons = []
-    for seg, b in zip(segs, bounds):
+    for seg in segs:
         uniform = 0.0
-        for _ in range(len(b) - 1):
+        for _ in range(seg.m):
             uniform += next(scatters)
         if seg.objective > uniform:
             raise RuntimeError(
@@ -98,6 +105,17 @@ def compare_to_uniform(
             )
         comparisons.append(ObjectiveComparison(kts_objective=seg.objective, uniform_objective=uniform))
     return comparisons
+
+
+def compare_to_uniform(
+    source: VarianceTable | GramMatrix, segs: Sequence[Segmentation]
+) -> list[ObjectiveComparison]:
+    """Each optimal segmentation's objective next to the equal-length split's at its m.
+
+    One block pass over ``source`` reads every uniform window; see :func:`_against_uniform`.
+    """
+    windows = _uniform_windows(source.n, [seg.m for seg in segs])
+    return _against_uniform(segs, _window_scatters(source, windows))
 
 
 def objective_comparison(source: VarianceTable | GramMatrix, m: int) -> ObjectiveComparison:

@@ -10,8 +10,9 @@ One scatter source feeds the DP and the KTS-versus-uniform comparison:
 and its ``blocks`` form the kernel columns one block of window end indices
 at a time, one matmul per block, and turn them into scatters by O(n)
 running sums of squared pairwise kernel distances (``_scatter_blocks``):
-a solve needs O(m*n) memory, chosen windows (``_window_scatters``) O(n*d)
-plus one block. ``build_variance_table`` writes the same blocks down as the dense reference
+a solve needs O(m*n) memory, chosen windows (``_WindowGather``) O(n*d)
+plus one block, and no pass of their own when read off a solve's.
+``build_variance_table`` writes the same blocks down as the dense reference
 of the brute-force oracle, ``placement_objective`` and the tests; its
 (n+1)^2 table is the only O(n^2) array, its scatters the solvers', bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
@@ -263,19 +264,39 @@ def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndar
         yield e0, k
 
 
-def _window_scatters(source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
-    """The scatter of each window [a, b) of ``windows``, in order, off one pass over the source's blocks.
+class _WindowGather:
+    """``source``'s blocks, passed on after the scatter of each window [a, b) of ``windows`` is read off.
 
-    Each is read from the solvers' block holding end b, so it is var_matrix[a, b] bit for bit.
-    Every window must satisfy 0 <= a < b <= n; callers build them from valid change points.
+    Each window is read from the block holding end b before a consumer (a solver) may
+    overwrite that block, so once every block has passed, ``scatters[k]`` holds
+    var_matrix[a, b] of ``windows[k]`` bit for bit. Every window must satisfy
+    0 <= a < b <= n; callers build them from valid change points.
     """
-    a, b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
-    order, out = np.argsort(b), np.empty(len(b))
-    with closing(source.blocks(_block_width(source.n))) as blocks:  # closing joins a worker
-        for e0, v in blocks:
-            i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
-            out[i] = v[b[i] - e0, a[i]]
-    return out.tolist()
+
+    def __init__(self, source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]):
+        self.source, self.n = source, source.n
+        self._a, self._b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
+        self.scatters = np.empty(len(self._b))
+
+    @property
+    def trace(self) -> float:
+        return self.source.trace
+
+    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        a, b, order = self._a, self._b, np.argsort(self._b)
+        with closing(self.source.blocks(width)) as blocks:  # closing joins a worker
+            for e0, v in blocks:
+                i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
+                self.scatters[i] = v[b[i] - e0, a[i]]
+                yield e0, v
+
+
+def _window_scatters(source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
+    """The scatter of each window [a, b) of ``windows``, in order, off one pass over the source's blocks."""
+    gather = _WindowGather(source, windows)
+    for _ in gather.blocks(_block_width(source.n)):
+        pass
+    return gather.scatters.tolist()
 
 
 def _steps(blocks: Iterator, most: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -476,8 +497,8 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
         )
 
 
-def _solve_rows(table: VarianceTable | GramMatrix, m_max: int, min_len: int):
-    """Fill DP rows 1..m_max of best-cost prefixes plus argmin backpointers.
+def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: int):
+    """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
 
     cost[i][e] is the optimal scatter of splitting [0, e) into i segments
     of length >= min_len (inf when infeasible); back[i][e] the leftmost
@@ -486,21 +507,33 @@ def _solve_rows(table: VarianceTable | GramMatrix, m_max: int, min_len: int):
     every row for the step before moving on: row i needs row i-1 only at
     starts t <= e - min_len, which earlier steps or this step's previous
     row already hold. Each row touches only its feasible cells, ends
-    e >= i*min_len and starts lo[i] <= t <= e - min_len.
+    e >= i*min_len and starts lo[i] <= t <= e - min_len, and only the ends
+    that the requested counts ``ms`` can reach: row i >= 2 stops at
+    e <= n - (m* - i)*min_len, where m* is the smallest requested count
+    >= i, since its m* - i remaining segments must fit after e. The
+    backtrack of a requested m reads row i at no later end, and row i+1
+    reads row i only at starts below its own bound less min_len, so cells
+    past the bound (left at inf and 0) are never read. Requesting every
+    count, as solve_auto does, leaves the bound at n.
 
-    lo[i] starts at (i-1)*min_len and only grows. After each step but the
-    last, row i compares its starts at end e = e1 - min_len, the last end
-    whose verdict holds for every end of the next step: a start t with
+    lo[i] starts at (i-1)*min_len and only grows. After each step whose
+    next step still has ends of row i, row i compares its starts at end
+    e = e1 - min_len, the last end whose verdict holds for every end of the
+    next step: a start t with
     cost[i-1][t] + var(t, e) > cost[i-1][e] + margin loses to start e at
     every end e' >= e + min_len, because var(t, e') >= var(t, e) +
     var(e, e'). lo[i] skips the leading run of such starts. The margin
-    covers rounding, so ties are never pruned and cost and back equal
-    those of the unpruned sweep bit for bit. O(m*n^2) time in the worst case.
+    covers rounding, so ties are never pruned and every cell within the
+    bounds equals that of the unpruned sweep bit for bit. O(m*n^2) time in
+    the worst case.
     """
-    n = table.n
+    n, m_max = table.n, max(ms)
     cost = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
-    lo = np.arange(-1, m_max) * min_len
+    lo = [(i - 1) * min_len for i in range(m_max + 1)]
+    hi = [n + 1] * (m_max + 1)  # hi[i]: one past the last end row i fills
+    for i in range(m_max - 1, 1, -1):
+        hi[i] = n + 1 if i in ms else hi[i + 1] - min_len
     # The margin bounds rounding. Superadditivity holds for exact scatters;
     # each one the shared block arithmetic yields is within r =
     # (4n + d + 4)*eps*trace of exact. A window of L frames sums each of its
@@ -529,19 +562,21 @@ def _solve_rows(table: VarianceTable | GramMatrix, m_max: int, min_len: int):
             np.copyto(var[:, max(t0, 0) :], np.inf, where=corner)
             cost[1, e0:e1] = var[:, 0]
             for i in range(2, m_max + 1):
-                lo_e, lo_t = max(e0, i * min_len), lo[i]
+                lo_e, lo_t, hi_e = max(e0, i * min_len), lo[i], min(e1, hi[i])
                 if lo_e >= e1:
                     break
-                v = var[lo_e - e0 :, lo_t:]
+                if lo_e >= hi_e:
+                    continue  # row i is complete; a later row of the same count may not be
+                v = var[lo_e - e0 : hi_e - e0, lo_t : hi_e - min_len]
                 c = cand[: v.size].reshape(v.shape)
-                np.add(cost[i - 1, lo_t:stop], v, out=c)
+                np.add(cost[i - 1, lo_t : hi_e - min_len], v, out=c)
                 best = c.argmin(axis=1)
-                back[i, lo_e:e1] = best + lo_t
-                cost[i, lo_e:e1] = c[np.arange(len(best)), best]
-                if e1 <= n and stop >= lo_e:
+                back[i, lo_e:hi_e] = best + lo_t
+                cost[i, lo_e:hi_e] = c[np.arange(len(best)), best]
+                if e1 < hi[i] and stop >= lo_e:
                     # stop == e1 - min_len is the end e of the rule above.
                     beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
-                    lo[i] += beaten.argmin() if not beaten.all() else beaten.size
+                    lo[i] += int(beaten.argmin()) if not beaten.all() else beaten.size
     return cost, back
 
 
@@ -573,7 +608,7 @@ def solve_fixed(
     result deterministic and comparable against exhaustive enumeration.
     """
     _check_feasible(table.n, m, min_segment_length)
-    cost, back = _solve_rows(table, m, min_segment_length)
+    cost, back = _solve_rows(table, [m], min_segment_length)
     return _segmentation(table.n, m, cost, back, min_segment_length)
 
 
@@ -599,7 +634,7 @@ def solve_auto(
     _check_feasible(n, 1, min_segment_length)
     m_max = min(m_max, n // min_segment_length)
     _check_feasible(n, m_max, min_segment_length)
-    cost, back = _solve_rows(table, m_max, min_segment_length)
+    cost, back = _solve_rows(table, range(1, m_max + 1), min_segment_length)
     penalties = [segment_count_penalty(m, n, penalty_weight) for m in range(1, m_max + 1)]
     totals = [float(cost[m, n]) + p for m, p in enumerate(penalties, start=1)]
     m = 1 + totals.index(min(totals))
@@ -619,5 +654,5 @@ def solve_range(
         return []
     for m in ms:
         _check_feasible(table.n, m, min_segment_length)
-    cost, back = _solve_rows(table, max(ms), min_segment_length)
+    cost, back = _solve_rows(table, ms, min_segment_length)
     return [_segmentation(table.n, m, cost, back, min_segment_length) for m in ms]

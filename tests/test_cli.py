@@ -20,6 +20,7 @@ from ktseg import (
     generate,
     placement_objective,
     sampling,
+    segmentation,
     solve_range,
     uniform_change_points,
 )
@@ -533,6 +534,23 @@ def test_sweep_dominance(tmp_path):
         table = tables[int(seed)]
         assert uni_obj == "%.17g" % placement_objective(table, uniform_change_points(48, int(m)))
         assert kts_obj == "%.17g" % solved[int(seed)][int(m)].objective
+
+
+def test_sweep_makes_one_block_pass_per_seed(tmp_path, monkeypatch, capsys):
+    passes = []
+    scatter_blocks = segmentation._scatter_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return scatter_blocks(*args)
+
+    monkeypatch.setattr(segmentation, "_scatter_blocks", counted)
+    monkeypatch.setattr(segmentation, "_BLOCK_BYTES", 8 * 49 * 5)  # 5 ends per block at n = 48
+    argv = ["sweep", "--seeds", "2", "--n", "48", "--d", "4", "--segments", "4",
+            "--separation", "1.0", "--sigma", "0.05", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    assert len(passes) == 2, "the uniform windows must be read off the solve's own pass"
+    assert "wrote 10 rows" in capsys.readouterr().out
 
 
 def test_sweep_honours_candidate_cap_env(tmp_path):

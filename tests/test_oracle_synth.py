@@ -208,6 +208,34 @@ def test_metrics_bounds_and_identity(pred, truth, tol):
     assert exact.f1 == 1.0
 
 
+@given(
+    pred=st.sets(st.integers(0, 80), max_size=30),
+    truth=st.sets(st.integers(0, 80), max_size=30),
+    tol=st.integers(0, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_metrics_match_all_pairs_greedy_matching(pred, truth, tol):
+    pred, truth = sorted(pred), sorted(truth)
+    # Every (prediction, truth) pair within tolerance, nearest first, then by index.
+    pairs = sorted(
+        (abs(p - t), pi, ti)
+        for pi, p in enumerate(pred)
+        for ti, t in enumerate(truth)
+        if abs(p - t) <= tol
+    )
+    used_pred, used_true = set(), set()
+    for _, pi, ti in pairs:
+        if pi not in used_pred and ti not in used_true:
+            used_pred.add(pi)
+            used_true.add(ti)
+    matched = len(used_pred)
+    precision = matched / len(pred) if pred else 1.0
+    recall = matched / len(truth) if truth else 1.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    m = boundary_metrics(pred, truth, tol)
+    assert (m.matched_count, m.precision, m.recall, m.f1) == (matched, precision, recall, f1)
+
+
 # ---------------------------------------------------------------------------
 # Objective comparison
 

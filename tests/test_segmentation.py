@@ -362,22 +362,42 @@ def full_square_rows(source, m_max, min_len, width):
     block_bytes=st.sampled_from([8, 2048, 4 * 2**20]),
     # DP steps of at most 1 or 3 ends split every wider block; 128 splits none here.
     dp_ends=st.sampled_from([1, 3, 128]),
+    # Every count up to m_max (as solve_auto asks), or a few, with or without the most that fit.
+    counts=st.sampled_from(["every", "sparse", "sparse with n // min_len"]),
 )
-@settings(max_examples=150, deadline=None)
-def test_pruned_dp_matches_full_square_reference(seed, shape, kernel, dense, min_len, block_bytes, dp_ends):
+@settings(max_examples=200, deadline=None)
+def test_pruned_dp_matches_full_square_reference(
+    seed, shape, kernel, dense, min_len, block_bytes, dp_ends, counts
+):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
     source = build_variance_table(compute_gram(feats, kernel)) if dense else compute_gram(feats, kernel)
     recorded = RecordedWidth(source)
-    m_max = int(rng.integers(1, n // min_len + 1))
+    top = n // min_len
+    if counts == "every":
+        ms = range(1, int(rng.integers(1, top + 1)) + 1)
+    else:
+        ms = {int(m) for m in rng.integers(1, top + 1, int(rng.integers(1, 5)))}
+        if counts.endswith("min_len"):
+            ms.add(top)
+        ms = rng.permutation(sorted(ms)).tolist()
     with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes), mock.patch.object(
         segmentation, "_DP_ENDS", dp_ends
     ):
-        cost, back = segmentation._solve_rows(recorded, m_max, min_len)
-    want_cost, want_back = full_square_rows(source, m_max, min_len, recorded.width)
-    assert np.array_equal(cost, want_cost)
-    assert np.array_equal(back, want_back)
+        cost, back = segmentation._solve_rows(recorded, ms, min_len)
+    want_cost, want_back = full_square_rows(source, max(ms), min_len, recorded.width)
+    if counts == "every":
+        assert np.array_equal(cost, want_cost)
+        assert np.array_equal(back, want_back)
+        return
+    # Only what a requested count reads back: cost[m, n] and the backtrack path's cells.
+    assert cost[ms, n].tobytes() == want_cost[ms, n].tobytes()
+    for m in ms:
+        j = n
+        for i in range(m, 1, -1):
+            assert back[i, j] == want_back[i, j], (m, i, j)
+            j = int(want_back[i, j])
 
 
 def unfused_scatter_blocks(diag, width, kernel_columns):
@@ -447,6 +467,18 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_b
         want = np.array([table.var_matrix[a, b] for a, b in windows])
         for source in (gram, table):
             assert np.array(segmentation._window_scatters(source, windows)).tobytes() == want.tobytes()
+
+
+def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(8).standard_normal((40, 3))))
+    windows = [(a, b) for b in range(1, 41) for a in range(b)]  # every window, the short ones too
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 41 * 4):  # 4 ends per block
+        table = build_variance_table(gram)
+        gather = segmentation._WindowGather(gram, windows)
+        # min_segment_length=4 makes the DP write inf over every window shorter than 4.
+        assert solve_range(gather, [3, 5], 4) == solve_range(table, [3, 5], 4)
+    want = np.array([table.var_matrix[a, b] for a, b in windows])
+    assert gather.scatters.tobytes() == want.tobytes()
 
 
 def test_uniform_comparison_holds_less_than_a_quarter_table():
@@ -677,12 +709,22 @@ def test_solve_fixed_min_segment_length():
 
 def test_solve_range_matches_individual_solves():
     rng = np.random.default_rng(22)
-    table = table_for(rng.standard_normal((20, 3)))
-    ms = [1, 3, 7, 10]
-    for seg, m in zip(solve_range(table, ms), ms):
-        single = solve_fixed(table, m)
-        assert seg.change_points == single.change_points
-        assert seg.objective == single.objective
+    gram = compute_gram(FeatureSequence(values=rng.standard_normal((20, 3))))
+    grids = [  # (counts, minimum segment length); sparse ones leave most DP rows short
+        ([1, 3, 7, 10], 1),
+        ([20, 10, 6, 5, 3], 1),  # the sweep's grid n // {1, 2, 3, 4, 6}
+        ([10, 2], 1),
+        ([10, 2], 2),
+        ([6, 1, 4], 3),
+        ([6], 3),
+    ]
+    for ms, min_len in grids:
+        every = segmentation._solve_rows(gram, range(1, max(ms) + 1), min_len)[0]
+        for source in (gram, build_variance_table(gram)):
+            for seg, m in zip(solve_range(source, ms, min_len), ms):
+                single = solve_fixed(source, m, min_len)
+                assert seg.change_points == single.change_points
+                assert seg.objective == single.objective == every[m, 20]
 
 
 # ---------------------------------------------------------------------------
