@@ -30,7 +30,6 @@ from .metrics import (
     BoundaryMetrics,
     ObjectiveComparison,
     boundary_metrics,
-    compare_to_uniform,
     objective_comparison,
 )
 from .oracle import BRUTE_FORCE_MAX_N, brute_force
@@ -101,7 +100,6 @@ __all__ = [
     "brute_force",
     "build_variance_table",
     "candidate_timestamps",
-    "compare_to_uniform",
     "compute_gram",
     "generate",
     "objective_comparison",

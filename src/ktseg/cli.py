@@ -14,13 +14,12 @@ import sys
 
 from . import io
 from .errors import CandidateCountMismatchError, KtsError
-from .metrics import _against_uniform, _uniform_windows, boundary_metrics
+from .metrics import _against_uniform, _uniform_gather, boundary_metrics
 from .oracle import _check_size, brute_force
 from .sampling import VideoTimeline, plan_samples, uniform_change_points
 from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
     KernelSpec,
-    _WindowGather,
     build_variance_table,
     compute_gram,
     solve_auto,
@@ -259,9 +258,9 @@ def _cmd_sweep(parser, args) -> int:
         instance = generate(config)
         gram = compute_gram(instance.features, max_candidates=cap)
         truth = list(instance.true_change_points)
-        gather = _WindowGather(gram, _uniform_windows(args.n, grid))
+        gather = _uniform_gather(gram, grid)
         solved = solve_range(gather, grid)  # its one block pass also reads the uniform windows
-        comparisons = _against_uniform(solved, gather.scatters.tolist())
+        comparisons = _against_uniform(solved, gather)
         for m, seg, comparison in zip(grid, solved, comparisons):
             kts_f1 = boundary_metrics(list(seg.change_points), truth, args.tolerance).f1
             uni_f1 = boundary_metrics(uniform_change_points(args.n, m), truth, args.tolerance).f1

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
 from .sampling import uniform_change_points
-from .segmentation import GramMatrix, Segmentation, VarianceTable, _window_scatters, solve_fixed
+from .segmentation import GramMatrix, Segmentation, VarianceTable, _WindowGather, solve_fixed
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,23 @@ class ObjectiveComparison(NamedTuple):
     uniform_objective: float
 
 
-def _uniform_windows(n: int, ms: Sequence[int]) -> list[tuple[int, int]]:
-    """The m windows of the equal-length split of [0, n) for each m of ``ms``, in turn, left to right."""
+def _uniform_gather(source: VarianceTable | GramMatrix, ms: Sequence[int]) -> _WindowGather:
+    """``source``'s blocks, gathering the m windows of the equal-length split of [0, n) for each m of ``ms``."""
     windows = []
     for m in ms:
-        bounds = (0, *uniform_change_points(n, m), n)
+        bounds = (0, *uniform_change_points(source.n, m), source.n)
         windows += zip(bounds[:-1], bounds[1:])
-    return windows
+    return _WindowGather(source, windows)
 
 
-def _against_uniform(segs: Sequence[Segmentation], scatters: Iterable[float]) -> list[ObjectiveComparison]:
+def _against_uniform(segs: Sequence[Segmentation], gather: _WindowGather) -> list[ObjectiveComparison]:
     """Each segmentation's objective next to the equal-length split's at its m.
 
-    ``scatters`` holds the windows of every split in :func:`_uniform_windows` order. Each split
-    is summed left to right from 0.0, as the DP sums. The optimum never exceeds it (it is a
-    placement the DP searches): failing means a bug.
+    ``gather`` is :func:`_uniform_gather` of the segmentations' counts, in order, after the solve
+    that read its blocks. Each split is summed left to right from 0.0, as the DP sums. The optimum
+    never exceeds it (it is a placement the DP searches): failing means a bug.
     """
-    scatters = iter(scatters)
+    scatters = iter(gather.scatters.tolist())
     comparisons = []
     for seg in segs:
         uniform = 0.0
@@ -107,17 +107,7 @@ def _against_uniform(segs: Sequence[Segmentation], scatters: Iterable[float]) ->
     return comparisons
 
 
-def compare_to_uniform(
-    source: VarianceTable | GramMatrix, segs: Sequence[Segmentation]
-) -> list[ObjectiveComparison]:
-    """Each optimal segmentation's objective next to the equal-length split's at its m.
-
-    One block pass over ``source`` reads every uniform window; see :func:`_against_uniform`.
-    """
-    windows = _uniform_windows(source.n, [seg.m for seg in segs])
-    return _against_uniform(segs, _window_scatters(source, windows))
-
-
 def objective_comparison(source: VarianceTable | GramMatrix, m: int) -> ObjectiveComparison:
-    """Optimal objective next to the equal-length split's objective at m."""
-    return compare_to_uniform(source, [solve_fixed(source, m, min_segment_length=1)])[0]
+    """Optimal objective next to the equal-length split's objective at m, off the solve's one block pass."""
+    gather = _uniform_gather(source, [m])
+    return _against_uniform([solve_fixed(gather, m, min_segment_length=1)], gather)[0]

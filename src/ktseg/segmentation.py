@@ -10,8 +10,9 @@ One scatter source feeds the DP and the KTS-versus-uniform comparison:
 and its ``blocks`` form the kernel columns one block of window end indices
 at a time, one matmul per block, and turn them into scatters by O(n)
 running sums of squared pairwise kernel distances (``_scatter_blocks``):
-a solve needs O(m*n) memory, chosen windows (``_WindowGather``) O(n*d)
-plus one block, and no pass of their own when read off a solve's.
+a solve needs O(m*n) memory. Chosen windows (``_WindowGather``) are read
+off the blocks of the solve they feed, so a comparison makes no pass of
+its own.
 ``build_variance_table`` writes the same blocks down as the dense reference
 of the brute-force oracle, ``placement_objective`` and the tests; its
 (n+1)^2 table is the only O(n^2) array, its scatters the solvers', bit for bit.
@@ -168,8 +169,8 @@ class VarianceTable:
             raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
         return float(self.var_matrix[a, b])
 
-    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Window scatters in column blocks of at most ``width`` end indices.
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Window scatters in column blocks of ``width = _block_width(n)`` end indices.
 
         Yields (e0, v) for e0 = 1, 1 + width, ...: v[j, t] is the scatter of
         window [t, e0 + j) for t < e0 + j, with one column per start index
@@ -177,6 +178,7 @@ class VarianceTable:
         v is a scratch buffer the caller may overwrite; it is reused by the
         next block.
         """
+        width = _block_width(self.n)
         buf = np.empty(min(width, self.n) * self.n)
         for e0 in range(1, self.n + 1, width):
             e1 = min(e0 + width, self.n + 1)
@@ -206,10 +208,10 @@ class GramMatrix:
         """Sum of the kernel diagonal, the scale of every scatter."""
         return float(_kernel_diagonal(self.rows, self.kernel).sum())
 
-    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Same contract as :meth:`VarianceTable.blocks`; see :func:`_scatter_blocks`."""
-        blocks = _scatter_blocks(self, width)
-        return _prefetched(blocks) if width < self.n else blocks  # one block: no thread
+        blocks = _scatter_blocks(self)
+        return _prefetched(blocks) if _block_width(self.n) < self.n else blocks  # one block: no thread
 
 
 def _block_width(n: int) -> int:
@@ -220,7 +222,7 @@ def _block_width(n: int) -> int:
     return max(_BLOCK_BYTES // (8 * (n + 1)), 1)
 
 
-def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndarray]]:
+def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """The one scatter arithmetic, computed in place in reused buffers.
 
     Yields the blocks of :meth:`VarianceTable.blocks` for ``gram``. One matmul per
@@ -240,6 +242,7 @@ def _scatter_blocks(gram: GramMatrix, width: int) -> Iterator[tuple[int, np.ndar
     x, kernel = gram.rows, gram.kernel
     diag = _kernel_diagonal(x, kernel)
     n = len(diag)
+    width = _block_width(n)
     w_max = min(width, n)
     pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
     lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
@@ -282,27 +285,19 @@ class _WindowGather:
     def trace(self) -> float:
         return self.source.trace
 
-    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         a, b, order = self._a, self._b, np.argsort(self._b)
-        with closing(self.source.blocks(width)) as blocks:  # closing joins a worker
+        with closing(self.source.blocks()) as blocks:  # closing joins a worker
             for e0, v in blocks:
                 i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
                 self.scatters[i] = v[b[i] - e0, a[i]]
                 yield e0, v
 
 
-def _window_scatters(source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
-    """The scatter of each window [a, b) of ``windows``, in order, off one pass over the source's blocks."""
-    gather = _WindowGather(source, windows)
-    for _ in gather.blocks(_block_width(source.n)):
-        pass
-    return gather.scatters.tolist()
-
-
-def _steps(blocks: Iterator, most: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Each block (e0, v) of ``blocks`` split by rows into near-equal steps of at most ``most`` ends."""
+def _steps(blocks: Iterator) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block (e0, v) of ``blocks`` split by rows into near-equal steps of at most ``_DP_ENDS`` ends."""
     for e0, v in blocks:
-        steps = -(-len(v) // most)  # ceiling divisions
+        steps = -(-len(v) // _DP_ENDS)  # ceiling divisions
         size = -(-len(v) // steps)
         for a in range(0, len(v), size):
             yield e0 + a, v[a : a + size]
@@ -464,7 +459,7 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     n = gram.n
     var_matrix = np.zeros((n + 1, n + 1))
     # No worker thread: a block copy is too light a consumer for a prefetch to pay.
-    for e0, raw in _scatter_blocks(gram, _block_width(n)):
+    for e0, raw in _scatter_blocks(gram):
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
     return VarianceTable(var_matrix=var_matrix, trace=gram.trace)
@@ -547,11 +542,10 @@ def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: i
     margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
     # Blocks small enough to stay cache-resident; the add/argmin pair then
     # streams each block once per DP row.
-    width = _block_width(n)
-    cand = np.empty(min(width, n) * n)
+    cand = np.empty(min(_block_width(n), n) * n)
     # Closing the source on any exit stops and joins a GramMatrix's worker thread.
-    with closing(table.blocks(width)) as blocks:
-        for e0, var in _steps(blocks, _DP_ENDS):
+    with closing(table.blocks()) as blocks:
+        for e0, var in _steps(blocks):
             e1 = e0 + var.shape[0]
             stop = e1 - min_len  # feasible starts of the step's last end lie below
             if stop <= 0:

@@ -1,6 +1,8 @@
-"""Ground-truth machinery: exhaustive solver, generator, and metrics."""
+"""Ground-truth machinery: exhaustive solver, exact rational DP, generator, and metrics."""
 
+from fractions import Fraction
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from ktseg import (
     generate,
     objective_comparison,
     solve_fixed,
+    solve_range,
 )
+from ktseg import segmentation
 
 
 def table_for(values):
@@ -62,6 +66,68 @@ def test_brute_force_min_segment_length():
     table = table_for(rng.standard_normal((9, 2)))
     seg = brute_force(table, 3, min_segment_length=3)
     assert seg.change_points == (3, 6)
+
+
+# ---------------------------------------------------------------------------
+# Exact rational DP
+
+
+def exact_scatters(values):
+    """The scatter of every window [a, b) of integer dot-kernel features, as a Fraction.
+
+    sum ||x_s||^2 - ||sum x_s||^2 / (b - a) over the window's own rows: exact, and
+    translation invariant, so it equals the scatter of the centred rows the solvers see.
+    """
+    rows = [[int(v) for v in row] for row in values]
+    scatter = {}
+    for a in range(len(rows)):
+        sums, squares = [0] * len(rows[0]), 0
+        for b in range(a + 1, len(rows) + 1):
+            sums = [s + v for s, v in zip(sums, rows[b - 1])]
+            squares += sum(v * v for v in rows[b - 1])
+            scatter[a, b] = squares - Fraction(sum(s * s for s in sums), b - a)
+    return scatter
+
+
+def exact_optima(scatter, n, m_max, min_len):
+    """Least exact total scatter of m segments of at least min_len frames, for m = 1..m_max, by the plain DP."""
+    cost, optima = {0: Fraction(0)}, [None]  # cost[e]: best split of [0, e) into i segments
+    for i in range(1, m_max + 1):
+        cost = {
+            e: min(cost[t] + scatter[t, e] for t in cost if t <= e - min_len)
+            for e in range(i * min_len, n + 1)
+        }
+        optima.append(cost[n])
+    return optima
+
+
+def integer_shots(rng, n, d):
+    """Small-integer features: shots of repeated rows, some copied exactly, so real ties occur."""
+    cuts = np.sort(rng.choice(np.arange(4, n - 3), size=int(rng.integers(3, 7)), replace=False))
+    bases = rng.integers(-3, 4, size=(len(cuts) + 1, d))
+    values = np.repeat(bases, np.diff([0, *cuts, n]), axis=0)
+    values += rng.integers(-1, 2, size=(n, d)) * (rng.random((n, 1)) < 0.3)  # a few rows off their shot
+    return values
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_dp_is_within_its_margin_of_the_exact_optimum(seed):
+    rng = np.random.default_rng(300 + seed)
+    n, d, min_len = int(rng.integers(60, 121)), int(rng.integers(1, 4)), 1 + seed % 3
+    values = integer_shots(rng, n, d)
+    gram = compute_gram(FeatureSequence(values=values.astype(np.float64)))
+    scatter = exact_scatters(values)
+    margin = Fraction(16 * (n + 1) ** 2 * np.finfo(np.float64).eps * gram.trace)  # _solve_rows' margin
+    # About 7 ends per block and DP steps of 3 ends, so blocks, steps and pruning all run.
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (n + 1) * 7), mock.patch.object(
+        segmentation, "_DP_ENDS", 3
+    ):
+        segs = solve_range(gram, range(1, 7), min_len)
+        segs += [solve_fixed(gram, m, min_len) for m in (2, 4, 6)]
+    optima = exact_optima(scatter, n, 6, min_len)
+    for seg in segs:
+        got = sum((scatter[a, b] for a, b in seg.segment_bounds()), Fraction(0))
+        assert optima[seg.m] <= got <= optima[seg.m] + margin, (seg.m, seg.change_points)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from ktseg import (
     solve_auto,
     solve_fixed,
     solve_range,
+    uniform_change_points,
 )
 from ktseg import metrics, segmentation
 
@@ -184,11 +185,12 @@ def test_var_values_nonnegative():
 
 
 def stacked_stream_blocks(values, width):
-    """The solvers' blocks written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
+    """The solvers' blocks of ``width`` ends written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
     stream = compute_gram(FeatureSequence(values=values))
     var = np.zeros((stream.n + 1, stream.n + 1))
-    for e0, v in stream.blocks(width):
-        var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (stream.n + 1) * width):
+        for e0, v in stream.blocks():
+            var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
     return var
 
 
@@ -322,22 +324,11 @@ def shaped_values(rng, shape, n, d):
     return values
 
 
-class RecordedWidth:
-    """Scatter source wrapper that remembers the block width the DP asked for."""
-
-    def __init__(self, source):
-        self.source, self.n, self.trace = source, source.n, source.trace
-
-    def blocks(self, width):
-        self.width = width
-        return self.source.blocks(width)
-
-
-def full_square_rows(source, m_max, min_len, width):
+def full_square_rows(source, m_max, min_len):
     """Reference DP: every start at every end, over the source's own blocks."""
     n = source.n
     var = np.full((n + 1, n + 1), np.inf)  # var[t, e]; inf where t > e - min_len
-    for e0, v in source.blocks(width):
+    for e0, v in source.blocks():
         for j, row in enumerate(v):
             k = max(e0 + j - min_len + 1, 0)
             var[:k, e0 + j] = row[:k]
@@ -373,7 +364,6 @@ def test_pruned_dp_matches_full_square_reference(
     n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
     source = build_variance_table(compute_gram(feats, kernel)) if dense else compute_gram(feats, kernel)
-    recorded = RecordedWidth(source)
     top = n // min_len
     if counts == "every":
         ms = range(1, int(rng.integers(1, top + 1)) + 1)
@@ -385,8 +375,8 @@ def test_pruned_dp_matches_full_square_reference(
     with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes), mock.patch.object(
         segmentation, "_DP_ENDS", dp_ends
     ):
-        cost, back = segmentation._solve_rows(recorded, ms, min_len)
-    want_cost, want_back = full_square_rows(source, max(ms), min_len, recorded.width)
+        cost, back = segmentation._solve_rows(source, ms, min_len)
+        want_cost, want_back = full_square_rows(source, max(ms), min_len)
     if counts == "every":
         assert np.array_equal(cost, want_cost)
         assert np.array_equal(back, want_back)
@@ -435,16 +425,16 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, de
     # depend on its shape (rows of a full-square Gram can differ), so the table
     # is built at the width its blocks are read back at.
     kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
-        source = build_variance_table(gram) if dense else gram
     width = max(block_bytes // (8 * (n + 1)), 1)
     count = 0
     unfused = unfused_scatter_blocks(diag, width, kernel_columns)
-    for (e0, got), (want_e0, want) in zip(source.blocks(width), unfused):
-        assert e0 == want_e0 and got.shape == want.shape
-        for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
-            assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
-        count += 1
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+        source = build_variance_table(gram) if dense else gram
+        for (e0, got), (want_e0, want) in zip(source.blocks(), unfused):
+            assert e0 == want_e0 and got.shape == want.shape
+            for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
+                assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
+            count += 1
     assert count == -(-n // width)
 
 
@@ -466,7 +456,10 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_b
         table = build_variance_table(gram)
         want = np.array([table.var_matrix[a, b] for a, b in windows])
         for source in (gram, table):
-            assert np.array(segmentation._window_scatters(source, windows)).tobytes() == want.tobytes()
+            gather = segmentation._WindowGather(source, windows)
+            for _ in gather.blocks():
+                pass
+            assert gather.scatters.tobytes() == want.tobytes()
 
 
 def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
@@ -483,15 +476,36 @@ def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
 
 def test_uniform_comparison_holds_less_than_a_quarter_table():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(14).standard_normal((3000, 8))))
-    segs = [Segmentation(n=3000, m=m, change_points=range(1, m), objective=0.0) for m in (1, 8, 64, 3000)]
     tracemalloc.start()
     try:
-        comparisons = metrics.compare_to_uniform(gram, segs)
+        comparisons = [metrics.objective_comparison(gram, m) for m in (1, 8, 64)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [c.uniform_objective > 0.0 for c in comparisons] == [True, True, True, False]
+    assert [c.uniform_objective > 0.0 for c in comparisons] == [True, True, True]
     assert peak < 3001**2 * 8 / 4, f"comparison peaked at {peak / (3001**2 * 8):.2f} tables"
+
+
+def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
+    n, passes = 60, []
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(15).standard_normal((n, 3))))
+    scatter_blocks = segmentation._scatter_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return scatter_blocks(*args)
+
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (n + 1) * 7):  # 7 ends per block
+        table = build_variance_table(gram)
+        for m in (1, 4, 9, n):
+            passes.clear()
+            with mock.patch.object(segmentation, "_scatter_blocks", counted):
+                comparison = metrics.objective_comparison(gram, m)
+            assert len(passes) == 1, "the uniform windows must be read off the solve's own pass"
+            want = placement_objective(table, uniform_change_points(n, m))
+            assert "%.17g" % comparison.uniform_objective == "%.17g" % want
+            assert comparison.kts_objective == solve_fixed(gram, m).objective
+    assert comparison == (0.0, 0.0)  # m = n: every frame its own window
 
 
 SOLVERS = pytest.mark.parametrize(
@@ -499,11 +513,9 @@ SOLVERS = pytest.mark.parametrize(
     [
         lambda s: solve_fixed(s, 2),
         lambda s: solve_auto(s, 4),
-        lambda s: metrics.compare_to_uniform(
-            s, [Segmentation(n=40, m=4, change_points=(10, 20, 30), objective=0.0)]
-        ),
+        lambda s: metrics.objective_comparison(s, 4),
     ],
-    ids=["solve_fixed", "solve_auto", "compare_to_uniform"],
+    ids=["solve_fixed", "solve_auto", "objective_comparison"],
 )
 #: Block budget giving 4 window ends per block at n = 40.
 FOUR_ENDS_AT_40 = 8 * 41 * 4
@@ -517,11 +529,11 @@ def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
     values[20:] = jittered_shots(rng, 2, 4) * 1e4
     stream = compute_gram(FeatureSequence(values=values))
     passed = []
-    with pytest.raises(PrecisionLossError):
-        for e0, _ in stream.blocks(4):
-            passed.append(e0)
-    assert len(passed) == 5  # blocks of ends up to 20 are fine; the error comes from a later one
     with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+        with pytest.raises(PrecisionLossError):
+            for e0, _ in stream.blocks():
+                passed.append(e0)
+        assert len(passed) == 5  # blocks of ends up to 20 are fine; the error comes from a later one
         with pytest.raises(PrecisionLossError):
             solve(stream)
     assert_workers_joined(baseline)
@@ -592,7 +604,8 @@ def test_gather_failure_mid_stream_joins_the_worker():
         with mock.patch.object(segmentation, "np", FailingCall("searchsorted", 3)):
             # The held traceback keeps the gatherer's frame, so only closing the pass stops the worker.
             with pytest.raises(RuntimeError, match="np.searchsorted failed") as raised:
-                segmentation._window_scatters(gram, [(0, 60)])
+                for _ in segmentation._WindowGather(gram, [(0, 60)]).blocks():
+                    pass
     assert_workers_joined(baseline)
     assert raised.traceback
 
@@ -606,7 +619,8 @@ def test_single_block_solve_starts_no_thread():
 def test_scatter_blocks_start_no_thread():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
-        ends = [e0 for e0, _ in segmentation._scatter_blocks(gram, 4)]
+        with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+            ends = [e0 for e0, _ in segmentation._scatter_blocks(gram)]
     assert ends == list(range(1, 41, 4))
 
 
@@ -621,14 +635,15 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
             finished[e0].set()  # block e0 is written; the worker yields it next
             yield e0, raw
 
-    with mock.patch.object(segmentation, "_scatter_blocks", recording):
-        blocks = stream.blocks(4)
     seen = []
-    for e0, held in blocks:
-        if e0 + 4 in finished:
-            assert finished[e0 + 4].wait(10), "the worker did not compute the next block"
-        assert np.array_equal(held, produced[e0])
-        seen.append(e0)
+    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+        with mock.patch.object(segmentation, "_scatter_blocks", recording):
+            blocks = stream.blocks()
+        for e0, held in blocks:
+            if e0 + 4 in finished:
+                assert finished[e0 + 4].wait(10), "the worker did not compute the next block"
+            assert np.array_equal(held, produced[e0])
+            seen.append(e0)
     assert seen == list(range(1, 41, 4))
 
 
