@@ -260,17 +260,16 @@ def _read_features_binary(path: Path) -> FeatureSequence:
     if n < 1 or d < 1:
         raise MalformedHeaderError(f"{path}: header declares n={n}, d={d}; both must be >= 1")
     expected = n * d * 4
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    if len(blob) - _HEADER.size != expected:
         raise MalformedHeaderError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload is {len(blob) - _HEADER.size} bytes, header implies {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(n, d)
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)  # no copy
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
         raise NonFiniteValueError(f"{path}: non-finite value at row {r + 1}, column {c + 1}")
-    return FeatureSequence(values=values.astype(np.float64))
+    return FeatureSequence(values=values)  # widened to float64 there
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ parsimony penalty.
 
 One scatter source feeds the DP and the KTS-versus-uniform comparison:
 ``compute_gram`` keeps the Gram matrix implicit in the kernel's input rows,
-and its ``blocks`` form the kernel columns one block of window end indices
-at a time, one matmul per block, and turn them into scatters by O(n)
+and its ``blocks`` form the kernel columns one block of 128 window end
+indices at a time, one matmul per block, and turn them into scatters by O(n)
 running sums of squared pairwise kernel distances (``_scatter_blocks``):
 a solve needs O(m*n) memory. Chosen windows (``_WindowGather``) are read
 off the blocks of the solve they feed, so a comparison makes no pass of
@@ -50,18 +50,17 @@ np = lazy_numpy()
 
 #: Default maximum number of candidate frames (~68 min of video at one
 #: candidate per second). The exact solve takes O(m*n^2) time in the worst
-#: case, less where pruning drops dominated starts, and O(m*n) memory; the
+#: case, less where pruning drops dominated starts, and O(m*n) memory, of which
+#: its three block buffers take 3 KiB per candidate (12.6 MB at this cap); the
 #: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
 DEFAULT_CANDIDATE_CAP = 4096
 
-#: Bytes of one column block of window scatters, sized to stay cache-resident (the
-#: block arithmetic holds two, turned in place from kernel columns into scatters).
-_BLOCK_BYTES = 2 * 2**20
-
-#: Most window ends one DP step takes from a block. Each DP row also evaluates the
-#: infeasible corner past every step's diagonal, n*ends/2 cells in all, so blocks
-#: wider than this are split evenly; narrower steps would cost more numpy calls.
-_DP_ENDS = 128
+#: Window ends per column block, the one width every block consumer shares: one
+#: kernel matmul, one DP step, one table write. A block holds 128*n doubles, so
+#: memory stays linear in n. Wider blocks read the n*d kernel rows fewer times,
+#: but each DP row also evaluates the infeasible corner past every block's
+#: diagonal, n*ends/2 cells in all; narrower ones cost more numpy calls.
+_BLOCK_ENDS = 128
 
 #: Raw scatters below this mean cancellation has destroyed their precision.
 _PRECISION_FLOOR = -1e-9
@@ -170,18 +169,17 @@ class VarianceTable:
         return float(self.var_matrix[a, b])
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Window scatters in column blocks of ``width = _block_width(n)`` end indices.
+        """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices.
 
-        Yields (e0, v) for e0 = 1, 1 + width, ...: v[j, t] is the scatter of
+        Yields (e0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t] is the scatter of
         window [t, e0 + j) for t < e0 + j, with one column per start index
         t < e1 - 1 (e1 = e0 + len(v)); entries with t >= e0 + j are unspecified.
         v is a scratch buffer the caller may overwrite; it is reused by the
         next block.
         """
-        width = _block_width(self.n)
-        buf = np.empty(min(width, self.n) * self.n)
-        for e0 in range(1, self.n + 1, width):
-            e1 = min(e0 + width, self.n + 1)
+        buf = np.empty(min(_BLOCK_ENDS, self.n) * self.n)
+        for e0 in range(1, self.n + 1, _BLOCK_ENDS):
+            e1 = min(e0 + _BLOCK_ENDS, self.n + 1)
             v = buf[: (e1 - e0) * (e1 - 1)].reshape(e1 - e0, e1 - 1)
             np.copyto(v, self.var_matrix[: e1 - 1, e0:e1].T)
             yield e0, v
@@ -193,7 +191,8 @@ class GramMatrix:
 
     ``rows`` holds the rows the kernel compares (centred for dot,
     L2-normalized for cosine). Gram columns are formed on demand, one block
-    at a time, so no n x n array is held: memory is O(n*d) plus one block.
+    of ``_BLOCK_ENDS`` ends at a time, so no n x n array is held: memory is
+    O(n*d) plus two blocks of 128*n doubles, 2 KiB per candidate.
     """
 
     rows: np.ndarray
@@ -211,15 +210,8 @@ class GramMatrix:
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Same contract as :meth:`VarianceTable.blocks`; see :func:`_scatter_blocks`."""
         blocks = _scatter_blocks(self)
-        return _prefetched(blocks) if _block_width(self.n) < self.n else blocks  # one block: no thread
-
-
-def _block_width(n: int) -> int:
-    """End indices per column block of ``_BLOCK_BYTES``.
-
-    The solvers and the dense table share it: a matmul's last bits depend on its shape.
-    """
-    return max(_BLOCK_BYTES // (8 * (n + 1)), 1)
+        # Under four blocks, a worker thread costs more than its overlap saves.
+        return _prefetched(blocks) if self.n >= 4 * _BLOCK_ENDS else blocks
 
 
 def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
@@ -242,14 +234,13 @@ def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
     x, kernel = gram.rows, gram.kernel
     diag = _kernel_diagonal(x, kernel)
     n = len(diag)
-    width = _block_width(n)
-    w_max = min(width, n)
+    w_max = min(_BLOCK_ENDS, n)
     pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
     lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
     upper = np.arange(w_max) >= np.arange(w_max)[:, None]
     bufs = np.empty(w_max * n), np.empty(w_max * n)
-    for b, e0 in enumerate(range(1, n + 1, width)):
-        w, cols = min(width, n + 1 - e0), min(e0 + width, n + 1) - 1
+    for b, e0 in enumerate(range(1, n + 1, _BLOCK_ENDS)):
+        w, cols = min(_BLOCK_ENDS, n + 1 - e0), min(e0 + _BLOCK_ENDS, n + 1) - 1
         k = bufs[b % 2][: w * cols].reshape(w, cols)
         _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=k)
         k *= -2.0
@@ -292,15 +283,6 @@ class _WindowGather:
                 i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
                 self.scatters[i] = v[b[i] - e0, a[i]]
                 yield e0, v
-
-
-def _steps(blocks: Iterator) -> Iterator[tuple[int, np.ndarray]]:
-    """Each block (e0, v) of ``blocks`` split by rows into near-equal steps of at most ``_DP_ENDS`` ends."""
-    for e0, v in blocks:
-        steps = -(-len(v) // _DP_ENDS)  # ceiling divisions
-        size = -(-len(v) // steps)
-        for a in range(0, len(v), size):
-            yield e0 + a, v[a : a + size]
 
 
 def _prefetched(items: Iterator) -> Iterator:
@@ -495,26 +477,25 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
 def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: int):
     """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
 
-    cost[i][e] is the optimal scatter of splitting [0, e) into i segments
-    of length >= min_len (inf when infeasible); back[i][e] the leftmost
-    argmin start of the last segment. One sweep over steps of end indices
-    e (the source's blocks, split into at most _DP_ENDS ends each) fills
-    every row for the step before moving on: row i needs row i-1 only at
-    starts t <= e - min_len, which earlier steps or this step's previous
-    row already hold. Each row touches only its feasible cells, ends
-    e >= i*min_len and starts lo[i] <= t <= e - min_len, and only the ends
-    that the requested counts ``ms`` can reach: row i >= 2 stops at
-    e <= n - (m* - i)*min_len, where m* is the smallest requested count
-    >= i, since its m* - i remaining segments must fit after e. The
+    cost[i][e] is the optimal scatter of splitting [0, e) into i segments of
+    length >= min_len (inf when infeasible); back[i][e] the leftmost argmin
+    start of the last segment. One sweep over the source's blocks of end
+    indices e fills every row for the block before moving on: row i needs
+    row i-1 only at starts t <= e - min_len, which earlier blocks or this
+    block's previous row already hold. Each row touches only its feasible
+    cells, ends e >= i*min_len and starts lo[i] <= t <= e - min_len, and
+    only the ends that the requested counts ``ms`` can reach: row i >= 2
+    stops at e <= n - (m* - i)*min_len, where m* is the smallest requested
+    count >= i, since its m* - i remaining segments must fit after e. The
     backtrack of a requested m reads row i at no later end, and row i+1
     reads row i only at starts below its own bound less min_len, so cells
     past the bound (left at inf and 0) are never read. Requesting every
     count, as solve_auto does, leaves the bound at n.
 
-    lo[i] starts at (i-1)*min_len and only grows. After each step whose
-    next step still has ends of row i, row i compares its starts at end
+    lo[i] starts at (i-1)*min_len and only grows. After each block whose
+    next block still has ends of row i, row i compares its starts at end
     e = e1 - min_len, the last end whose verdict holds for every end of the
-    next step: a start t with
+    next block: a start t with
     cost[i-1][t] + var(t, e) > cost[i-1][e] + margin loses to start e at
     every end e' >= e + min_len, because var(t, e') >= var(t, e) +
     var(e, e'). lo[i] skips the leading run of such starts. The margin
@@ -540,14 +521,12 @@ def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: i
     # comparison rounds by at most 2*eps*trace. 3r plus those roundings,
     # (12n + 3d + 18)*eps*trace, stays below the margin for every d <= 4*n^2.
     margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
-    # Blocks small enough to stay cache-resident; the add/argmin pair then
-    # streams each block once per DP row.
-    cand = np.empty(min(_block_width(n), n) * n)
+    cand = np.empty(min(_BLOCK_ENDS, n) * n)  # the add/argmin pair of one block and row
     # Closing the source on any exit stops and joins a GramMatrix's worker thread.
     with closing(table.blocks()) as blocks:
-        for e0, var in _steps(blocks):
+        for e0, var in blocks:
             e1 = e0 + var.shape[0]
-            stop = e1 - min_len  # feasible starts of the step's last end lie below
+            stop = e1 - min_len  # feasible starts of the block's last end lie below
             if stop <= 0:
                 continue
             var = var[:, :stop]

@@ -144,7 +144,13 @@ def generate(config: SynthConfig) -> SyntheticInstance:
             means[s, s - 1] = config.mean_separation
     labels = np.repeat(np.arange(m), lengths)
     noise = _normals(_substream_seed(config.seed, _NOISE_SALT), n * d).reshape(n, d)
-    values = means[labels] + config.noise_sigma * noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = means[labels] + config.noise_sigma * noise
+    if not np.isfinite(values).all():
+        raise InfeasibleConfigError(
+            f"separation {config.mean_separation!r} and noise sigma {config.noise_sigma!r} "
+            "overflow float64 feature values"
+        )
     return SyntheticInstance(
         features=FeatureSequence(values=values),
         true_change_points=change_points,

@@ -436,6 +436,24 @@ def test_synth_deterministic_bytes(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "command, scale",
+    [
+        ("synth", ["--separation", 1.0, "--sigma", 1e308]),  # overflows the noise product
+        ("sweep", ["--separation", 1.7e308, "--sigma", 1e308]),  # overflows the mean plus noise
+    ],
+    ids=["synth", "sweep"],
+)
+def test_overflowing_synthetic_features_fail_in_one_line(tmp_path, command, scale):
+    outs = (["--features-out", tmp_path / "f.csv", "--truth-out", tmp_path / "t.json"]
+            if command == "synth" else ["--out", tmp_path / "s.csv"])
+    seed = ["--seed", 3] if command == "synth" else ["--seeds", 1]
+    res = run_cli(command, "--n", 30, "--d", 4, "--segments", 3, *scale, *seed, *outs)
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:"), res.stderr
+    assert "noise sigma 1e+308" in res.stderr
+
+
 def test_eval_perfect_prediction(tmp_path):
     run_cli(*synth_args(tmp_path))
     res = run_cli(
@@ -545,7 +563,7 @@ def test_sweep_makes_one_block_pass_per_seed(tmp_path, monkeypatch, capsys):
         return scatter_blocks(*args)
 
     monkeypatch.setattr(segmentation, "_scatter_blocks", counted)
-    monkeypatch.setattr(segmentation, "_BLOCK_BYTES", 8 * 49 * 5)  # 5 ends per block at n = 48
+    monkeypatch.setattr(segmentation, "_BLOCK_ENDS", 5)
     argv = ["sweep", "--seeds", "2", "--n", "48", "--d", "4", "--segments", "4",
             "--separation", "1.0", "--sigma", "0.05", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0

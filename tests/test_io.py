@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,6 +216,23 @@ def test_binary_non_finite_location(tmp_path):
     path.write_bytes(struct.pack("<4sIQQ", b"KTSF", 1, 2, 2) + payload)
     with pytest.raises(NonFiniteValueError, match="row 2, column 1"):
         read_features(path)
+
+
+def test_binary_read_widens_the_payload_without_extra_copies(tmp_path):
+    n, d = 2000, 64
+    payload = np.random.default_rng(4).standard_normal((n, d)).astype("<f4")
+    path = tmp_path / "a.ktsf"
+    path.write_bytes(struct.pack("<4sIQQ", b"KTSF", 1, n, d) + payload.tobytes())
+    tracemalloc.start()
+    try:
+        feats = read_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert feats.values.dtype == np.float64
+    assert np.array_equal(feats.values, payload.astype(np.float64))
+    # The file's bytes (4 per value), the float64 values (8) and one finiteness mask (1).
+    assert peak <= 14 * n * d, f"read peaked at {peak / (n * d):.1f} bytes per value"
 
 
 def test_unknown_extension(tmp_path):

@@ -1,6 +1,7 @@
 """Ground-truth machinery: exhaustive solver, exact rational DP, generator, and metrics."""
 
 from fractions import Fraction
+import heapq
 import math
 from unittest import mock
 
@@ -90,14 +91,20 @@ def exact_scatters(values):
 
 
 def exact_optima(scatter, n, m_max, min_len):
-    """Least exact total scatter of m segments of at least min_len frames, for m = 1..m_max, by the plain DP."""
-    cost, optima = {0: Fraction(0)}, [None]  # cost[e]: best split of [0, e) into i segments
+    """The two least exact splits into m segments of at least min_len frames, for m = 1..m_max.
+
+    optima[m] lists (total scatter, change points) of the optimum and, if another
+    placement exists, of the runner-up: a plain DP keeping two splits per cell.
+    """
+    best, optima = {0: [(Fraction(0), ())]}, [None]  # best[e]: two least splits of [0, e) into i segments
     for i in range(1, m_max + 1):
-        cost = {
-            e: min(cost[t] + scatter[t, e] for t in cost if t <= e - min_len)
+        best = {
+            e: heapq.nsmallest(
+                2, ((total + scatter[t, e], cps + (t,)) for t in best if t <= e - min_len for total, cps in best[t])
+            )
             for e in range(i * min_len, n + 1)
         }
-        optima.append(cost[n])
+        optima.append([(total, cps[1:]) for total, cps in best[n]])
     return optima
 
 
@@ -118,16 +125,17 @@ def test_float_dp_is_within_its_margin_of_the_exact_optimum(seed):
     gram = compute_gram(FeatureSequence(values=values.astype(np.float64)))
     scatter = exact_scatters(values)
     margin = Fraction(16 * (n + 1) ** 2 * np.finfo(np.float64).eps * gram.trace)  # _solve_rows' margin
-    # About 7 ends per block and DP steps of 3 ends, so blocks, steps and pruning all run.
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (n + 1) * 7), mock.patch.object(
-        segmentation, "_DP_ENDS", 3
-    ):
+    # Blocks of 3 ends, so blocks and pruning both run many times.
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 3):
         segs = solve_range(gram, range(1, 7), min_len)
         segs += [solve_fixed(gram, m, min_len) for m in (2, 4, 6)]
     optima = exact_optima(scatter, n, 6, min_len)
     for seg in segs:
+        (least, cps), *runner_up = optima[seg.m]
         got = sum((scatter[a, b] for a, b in seg.segment_bounds()), Fraction(0))
-        assert optima[seg.m] <= got <= optima[seg.m] + margin, (seg.m, seg.change_points)
+        assert least <= got <= least + margin, (seg.m, seg.change_points)
+        if not runner_up or runner_up[0][0] > least + margin:  # no other placement is within the margin
+            assert seg.change_points == cps
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +205,13 @@ def test_generator_infeasible_configs():
             base_config(mean_separation=bad)
     with pytest.raises(InfeasibleConfigError):
         base_config(n=20, segment_count=5, min_segment_length=5)
+
+
+@pytest.mark.parametrize("separation, sigma", [(3.0, 1e308), (1.7e308, 1e308)])
+def test_generator_overflow_raises_without_a_warning(separation, sigma):
+    # Warnings are errors in this suite, so an overflow warning on the way fails too.
+    with pytest.raises(InfeasibleConfigError, match="overflow"):
+        generate(base_config(mean_separation=separation, noise_sigma=sigma))
 
 
 def test_generator_high_snr_recovery_seed_42():

@@ -188,7 +188,7 @@ def stacked_stream_blocks(values, width):
     """The solvers' blocks of ``width`` ends written into one (n+1)^2 array: var[t, e] is the scatter of [t, e)."""
     stream = compute_gram(FeatureSequence(values=values))
     var = np.zeros((stream.n + 1, stream.n + 1))
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (stream.n + 1) * width):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", width):
         for e0, v in stream.blocks():
             var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
     return var
@@ -296,16 +296,16 @@ def test_precision_check_rejects_nan():
     seed=st.integers(0, 2**32 - 1),
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
     min_len=st.integers(1, 4),
-    # 8 bytes forces one end index per block; 512 a few per block at these n.
-    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+    # One end index per block, a few, or one block at these n.
+    block_ends=st.sampled_from([1, 3, 128]),
 )
 @settings(max_examples=120, deadline=None)
-def test_stream_matches_dense_reference(seed, kernel, min_len, block_bytes):
+def test_stream_matches_dense_reference(seed, kernel, min_len, block_ends):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(min_len, 40))
     feats = FeatureSequence(values=rng.standard_normal((n, int(rng.integers(1, 6)))))
     ms = range(1, n // min_len + 1)
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         streamed = solve_range(compute_gram(feats, kernel), ms, min_len)
         dense = solve_range(build_variance_table(compute_gram(feats, kernel)), ms, min_len)
     for got, want in zip(streamed, dense):
@@ -349,16 +349,14 @@ def full_square_rows(source, m_max, min_len):
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
     dense=st.booleans(),
     min_len=st.integers(1, 4),
-    # 8 bytes forces one end index per block; 2048 a few per block at these n.
-    block_bytes=st.sampled_from([8, 2048, 4 * 2**20]),
-    # DP steps of at most 1 or 3 ends split every wider block; 128 splits none here.
-    dp_ends=st.sampled_from([1, 3, 128]),
+    # One end index per block (one DP step each), a few, or one block at these n.
+    block_ends=st.sampled_from([1, 3, 7, 128]),
     # Every count up to m_max (as solve_auto asks), or a few, with or without the most that fit.
     counts=st.sampled_from(["every", "sparse", "sparse with n // min_len"]),
 )
 @settings(max_examples=200, deadline=None)
 def test_pruned_dp_matches_full_square_reference(
-    seed, shape, kernel, dense, min_len, block_bytes, dp_ends, counts
+    seed, shape, kernel, dense, min_len, block_ends, counts
 ):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(min_len, 60)), int(rng.integers(1, 6))
@@ -372,9 +370,7 @@ def test_pruned_dp_matches_full_square_reference(
         if counts.endswith("min_len"):
             ms.add(top)
         ms = rng.permutation(sorted(ms)).tolist()
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes), mock.patch.object(
-        segmentation, "_DP_ENDS", dp_ends
-    ):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         cost, back = segmentation._solve_rows(source, ms, min_len)
         want_cost, want_back = full_square_rows(source, max(ms), min_len)
     if counts == "every":
@@ -411,11 +407,11 @@ def unfused_scatter_blocks(diag, width, kernel_columns):
     shape=st.sampled_from(["planted", "constant", "noise"]),
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
     dense=st.booleans(),
-    # 8 bytes gives one end index per block; 512 a few, with a partial last block.
-    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+    # One end index per block, a few with a partial last block, or one block.
+    block_ends=st.sampled_from([1, 3, 128]),
 )
 @settings(max_examples=150, deadline=None)
-def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, dense, block_bytes):
+def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, dense, block_ends):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
@@ -425,34 +421,33 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, de
     # depend on its shape (rows of a full-square Gram can differ), so the table
     # is built at the width its blocks are read back at.
     kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
-    width = max(block_bytes // (8 * (n + 1)), 1)
     count = 0
-    unfused = unfused_scatter_blocks(diag, width, kernel_columns)
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+    unfused = unfused_scatter_blocks(diag, block_ends, kernel_columns)
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         source = build_variance_table(gram) if dense else gram
         for (e0, got), (want_e0, want) in zip(source.blocks(), unfused):
             assert e0 == want_e0 and got.shape == want.shape
             for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
                 assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
             count += 1
-    assert count == -(-n // width)
+    assert count == -(-n // block_ends)
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
-    # 8 bytes gives one end index per block; 512 a few, with a partial last block.
-    block_bytes=st.sampled_from([8, 512, 4 * 2**20]),
+    # One end index per block, a few with a partial last block, or one block.
+    block_ends=st.sampled_from([1, 3, 128]),
 )
 @settings(max_examples=120, deadline=None)
-def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_bytes):
+def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_ends):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 61)), int(rng.integers(1, 6))
     gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, d))), kernel)
     starts = [int(a) for a in rng.integers(0, n, int(rng.integers(1, 30)))]
     windows = [(a, int(rng.integers(a + 1, n + 1))) for a in starts]  # unsorted by end
     windows += [(a, a + 1) for a in starts[:3]] + windows[:3]  # single frames and repeats
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         table = build_variance_table(gram)
         want = np.array([table.var_matrix[a, b] for a, b in windows])
         for source in (gram, table):
@@ -465,7 +460,7 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_b
 def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(8).standard_normal((40, 3))))
     windows = [(a, b) for b in range(1, 41) for a in range(b)]  # every window, the short ones too
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 41 * 4):  # 4 ends per block
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         table = build_variance_table(gram)
         gather = segmentation._WindowGather(gram, windows)
         # min_segment_length=4 makes the DP write inf over every window shorter than 4.
@@ -495,7 +490,7 @@ def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
         passes.append(args)
         return scatter_blocks(*args)
 
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * (n + 1) * 7):  # 7 ends per block
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 7):
         table = build_variance_table(gram)
         for m in (1, 4, 9, n):
             passes.clear()
@@ -517,8 +512,6 @@ SOLVERS = pytest.mark.parametrize(
     ],
     ids=["solve_fixed", "solve_auto", "objective_comparison"],
 )
-#: Block budget giving 4 window ends per block at n = 40.
-FOUR_ENDS_AT_40 = 8 * 41 * 4
 
 
 @SOLVERS
@@ -529,7 +522,7 @@ def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
     values[20:] = jittered_shots(rng, 2, 4) * 1e4
     stream = compute_gram(FeatureSequence(values=values))
     passed = []
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with pytest.raises(PrecisionLossError):
             for e0, _ in stream.blocks():
                 passed.append(e0)
@@ -551,7 +544,7 @@ def test_worker_exception_is_reraised_unchanged(solve):
         return kernel_values(*args, **kwargs)
 
     stream = compute_gram(FeatureSequence(values=np.random.default_rng(2).standard_normal((40, 2))))
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "_kernel_values", failing):
             with pytest.raises(RuntimeError) as raised:
                 solve(stream)
@@ -590,7 +583,7 @@ class FailingCall:
 def test_dp_failure_mid_stream_joins_the_worker():
     baseline = threading.active_count()
     feats = FeatureSequence(values=np.random.default_rng(3).standard_normal((60, 3)))
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "np", FailingCall("add", 20)):
             with pytest.raises(RuntimeError, match="np.add failed"):
                 solve_fixed(compute_gram(feats), 5)
@@ -600,7 +593,7 @@ def test_dp_failure_mid_stream_joins_the_worker():
 def test_gather_failure_mid_stream_joins_the_worker():
     baseline = threading.active_count()
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(3).standard_normal((60, 3))))
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", 8 * 61 * 4):  # 4 ends per block
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "np", FailingCall("searchsorted", 3)):
             # The held traceback keeps the gatherer's frame, so only closing the pass stops the worker.
             with pytest.raises(RuntimeError, match="np.searchsorted failed") as raised:
@@ -616,10 +609,24 @@ def test_single_block_solve_starts_no_thread():
         assert solve_auto(compute_gram(feats), 8).m >= 1
 
 
+@pytest.mark.parametrize("n, workers", [(511, 0), (512, 1)])
+def test_worker_starts_at_four_full_blocks(n, workers):
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    feats = FeatureSequence(values=np.random.default_rng(5).standard_normal((n, 2)))
+    with mock.patch.object(threading.Thread, "start", recording):
+        assert solve_fixed(compute_gram(feats), 2).m == 2
+    assert [name.startswith("ktseg-scatter") for name in started] == [True] * workers
+
+
 def test_scatter_blocks_start_no_thread():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
-        with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+        with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
             ends = [e0 for e0, _ in segmentation._scatter_blocks(gram)]
     assert ends == list(range(1, 41, 4))
 
@@ -636,7 +643,7 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
             yield e0, raw
 
     seen = []
-    with mock.patch.object(segmentation, "_BLOCK_BYTES", FOUR_ENDS_AT_40):
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "_scatter_blocks", recording):
             blocks = stream.blocks()
         for e0, held in blocks:
@@ -906,6 +913,27 @@ def test_scale_equivariance_exact_power_of_two():
     assert np.array_equal(scaled.var_matrix, 4.0 * base.var_matrix)
     for m in (2, 4, 6):
         assert solve_fixed(scaled, m).change_points == solve_fixed(base, m).change_points
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-20, 10),
+    n=st.integers(16, 150),
+    segments=st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_solve_is_exactly_equivariant_to_powers_of_two(seed, k, n, segments):
+    # 2^k scales every kernel value, pair sum, scatter and the pruning margin by
+    # exactly 4^k, so the streamed DP takes the same decisions on scaled features.
+    config = SynthConfig(n=n, d=8, segment_count=segments, mean_separation=1.0, noise_sigma=0.1, seed=seed)
+    values = generate(config).features.values
+    ms = sorted({1, segments, 2 * segments, n // 3})
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 7):
+        want = solve_range(compute_gram(FeatureSequence(values=values)), ms)
+        got = solve_range(compute_gram(FeatureSequence(values=values * 2.0**k)), ms)
+    for g, w in zip(got, want):
+        assert g.change_points == w.change_points
+        assert g.objective == 4.0**k * w.objective
 
 
 def test_scale_equivariance_generic_constant():
