@@ -66,7 +66,7 @@ class InvariantViolationError(KtsError):
 
 
 class InstanceTooLargeError(KtsError):
-    """Exhaustive solver refuses instances beyond its hard cap."""
+    """Instance too large: past the exhaustive solver's hard cap, or DP rows past half the memory."""
 
 
 class InfeasibleConfigError(KtsError):

@@ -25,12 +25,17 @@ that can no longer win (inequality pruning, as in SNIP): the kernel
 scatter is superadditive, var(t, e') >= var(t, e) + var(e, e') for
 t < e < e', so once start t at end e costs more than start e does, start e
 beats t at every later end. Pruning never changes the optimum or its
-leftmost tie-breaks.
+leftmost tie-breaks. DP rows are kept only for counts with a choice: a
+requested count m with m*min_len = n has one placement, every segment
+min_len long, so its windows are read off the solve's block pass and summed
+in the DP's order instead. Rows that would take more than half the
+machine's physical memory are refused before they are allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +44,7 @@ from ._lazy import lazy_numpy
 from .errors import (
     IndexOutOfRangeError,
     InfeasibleSegmentCountError,
+    InstanceTooLargeError,
     InvariantViolationError,
     NonPositivePenaltyWeightError,
     PrecisionLossError,
@@ -474,6 +480,15 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
         )
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf, or no such name on this platform
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: int):
     """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
 
@@ -502,8 +517,21 @@ def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: i
     covers rounding, so ties are never pruned and every cell within the
     bounds equals that of the unpruned sweep bit for bit. O(m*n^2) time in
     the worst case.
+
+    The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
+    (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,
+    m*min_len = n (see :func:`_solve_counts`), so the sweep's rows stop at
+    n/2. Rows over half the machine's physical memory raise
+    InstanceTooLargeError before any is allocated.
     """
     n, m_max = table.n, max(ms)
+    row_bytes, memory = (n + 1) * 12, _physical_memory()
+    if memory is not None and (m_max + 1) * row_bytes > memory // 2:
+        raise InstanceTooLargeError(
+            f"DP rows for up to {m_max} segments of {n} candidates need {(m_max + 1) * row_bytes:,} "
+            f"bytes, over half of this machine's {memory:,} bytes of memory; "
+            f"rows fit up to {max(memory // 2 // row_bytes - 1, 0)} segments"
+        )
     cost = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
     lo = [(i - 1) * min_len for i in range(m_max + 1)]
@@ -553,20 +581,48 @@ def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: i
     return cost, back
 
 
-def _segmentation(n: int, m: int, cost, back, min_len: int, **penalty) -> Segmentation:
-    """The optimal split of [0, n) into m segments, read back from the DP rows."""
-    cps, j = [], n
-    for i in range(m, 1, -1):
-        j = int(back[i, j])
-        cps.append(j)
-    return Segmentation(
-        n=n,
-        m=m,
-        change_points=cps[::-1],
-        objective=float(cost[m, n]),
-        min_segment_length=min_len,
-        **penalty,
-    )
+def _solve_counts(table: VarianceTable | GramMatrix, ms: Iterable[int], min_len: int):
+    """J(m) for each segment count m of ``ms``, and its optimal segmentation, off one block pass.
+
+    Returns (J, segmentation): J[m] equals cost[m, n] of :func:`_solve_rows` bit
+    for bit, and segmentation(m, **penalty) is the optimal split of [0, n) into m
+    segments, read back from the rows. Only counts with a choice get DP rows. The
+    forced count m = n / min_len, if requested, has one placement, every segment
+    min_len long: its windows are read off the rows' block pass and summed left
+    to right from 0.0, the DP's order. Asked alone, it still takes the block
+    pass, so its scatters are checked for precision as any solve's are.
+    """
+    n, ms = table.n, set(ms)
+    forced = n // min_len if n % min_len == 0 and n // min_len in ms else None
+    choice = ms - {forced}
+    if forced:
+        table = _WindowGather(table, [(t, t + min_len) for t in range(0, n, min_len)])
+    J = {}
+    if choice:
+        cost, back = _solve_rows(table, choice, min_len)
+        J = {m: float(cost[m, n]) for m in choice}
+    else:
+        for _ in table.blocks():
+            pass
+    if forced:
+        J[forced] = 0.0
+        for scatter in table.scatters.tolist():
+            J[forced] += scatter
+
+    def segmentation(m: int, **penalty) -> Segmentation:
+        if m == forced:
+            cps = range(min_len, n, min_len)
+        else:
+            cps, j = [], n
+            for i in range(m, 1, -1):
+                j = int(back[i, j])
+                cps.append(j)
+            cps.reverse()
+        return Segmentation(
+            n=n, m=m, change_points=cps, objective=J[m], min_segment_length=min_len, **penalty
+        )
+
+    return J, segmentation
 
 
 def solve_fixed(
@@ -581,8 +637,14 @@ def solve_fixed(
     result deterministic and comparable against exhaustive enumeration.
     """
     _check_feasible(table.n, m, min_segment_length)
-    cost, back = _solve_rows(table, [m], min_segment_length)
-    return _segmentation(table.n, m, cost, back, min_segment_length)
+    _, segmentation = _solve_counts(table, [m], min_segment_length)
+    return segmentation(m)
+
+
+def _choose_count(J: Sequence[float], n: int, weight: float) -> int:
+    """The first m in 1..len(J) minimising J[m-1] + segment_count_penalty(m, n, weight)."""
+    totals = [j + segment_count_penalty(m, n, weight) for m, j in enumerate(J, start=1)]
+    return 1 + totals.index(min(totals))
 
 
 def solve_auto(
@@ -607,13 +669,10 @@ def solve_auto(
     _check_feasible(n, 1, min_segment_length)
     m_max = min(m_max, n // min_segment_length)
     _check_feasible(n, m_max, min_segment_length)
-    cost, back = _solve_rows(table, range(1, m_max + 1), min_segment_length)
-    penalties = [segment_count_penalty(m, n, penalty_weight) for m in range(1, m_max + 1)]
-    totals = [float(cost[m, n]) + p for m, p in enumerate(penalties, start=1)]
-    m = 1 + totals.index(min(totals))
-    return _segmentation(
-        n, m, cost, back, min_segment_length, penalty=penalties[m - 1], penalty_weight=penalty_weight
-    )
+    J, segmentation = _solve_counts(table, range(1, m_max + 1), min_segment_length)
+    m = _choose_count([J[m] for m in range(1, m_max + 1)], n, penalty_weight)
+    penalty = segment_count_penalty(m, n, penalty_weight)
+    return segmentation(m, penalty=penalty, penalty_weight=penalty_weight)
 
 
 def solve_range(
@@ -627,5 +686,5 @@ def solve_range(
         return []
     for m in ms:
         _check_feasible(table.n, m, min_segment_length)
-    cost, back = _solve_rows(table, ms, min_segment_length)
-    return [_segmentation(table.n, m, cost, back, min_segment_length) for m in ms]
+    _, segmentation = _solve_counts(table, ms, min_segment_length)
+    return [segmentation(m) for m in ms]

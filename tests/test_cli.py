@@ -154,6 +154,22 @@ def test_memory_exhaustion_is_a_one_line_error(blocks_csv, tmp_path, monkeypatch
     assert capsys.readouterr().err.splitlines() == ["error: out of memory in segment"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "segment"])
+def test_dp_rows_past_half_the_memory_are_a_one_line_error(command, blocks_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(segmentation, "_physical_memory", lambda: 200)  # below every request's rows
+    out = tmp_path / "out"
+    argv = {
+        "sweep": ["sweep", "--seeds", "1", "--n", "12", "--d", "2", "--segments", "2",
+                  "--separation", "1.0", "--sigma", "0.1", "--out", str(out)],
+        "segment": ["segment", "--features", str(blocks_csv), "--auto", "--max-segments", "4",
+                    "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DP rows for up to "), err
+    assert not out.exists()
+
+
 def test_segment_kernel_flag(blocks_csv, tmp_path):
     out = tmp_path / "seg.json"
     res = run_cli("segment", "--features", blocks_csv, "--m", 2, "--kernel", "cosine", "--out", out)

@@ -15,6 +15,7 @@ from ktseg import (
     FeatureSequence,
     IndexOutOfRangeError,
     InfeasibleSegmentCountError,
+    InstanceTooLargeError,
     InvariantViolationError,
     KernelSpec,
     KtsError,
@@ -35,7 +36,7 @@ from ktseg import (
     solve_range,
     uniform_change_points,
 )
-from ktseg import metrics, segmentation
+from ktseg import cli, metrics, segmentation
 
 TWO_BLOCKS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 STEPS_1D = [[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]
@@ -848,6 +849,163 @@ def test_solve_auto_penalty_fields():
     assert seg.penalty_weight == 3.5
     assert seg.penalty == pytest.approx(segment_count_penalty(seg.m, 12, 3.5), abs=1e-12)
     assert seg.objective == solve_fixed(table, seg.m).objective
+
+
+# ---------------------------------------------------------------------------
+# The forced count m * min_len = n, and the DP rows' memory
+
+
+def recorded_rows(calls):
+    """_solve_rows, recording the counts each call was asked for."""
+    solve_rows = segmentation._solve_rows
+
+    def recorded(source, ms, min_len):
+        calls.append(sorted(ms))
+        return solve_rows(source, ms, min_len)
+
+    return mock.patch.object(segmentation, "_solve_rows", recorded)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["planted", "constant", "noise"]),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    dense=st.booleans(),
+    min_len=st.integers(1, 3),
+    block_ends=st.sampled_from([3, 7, 128]),
+    weight=st.sampled_from([1e-3, 1.0]),
+)
+@settings(max_examples=120, deadline=None)
+def test_forced_count_matches_its_dp_row_bit_for_bit(seed, shape, kernel, dense, min_len, block_ends, weight):
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(1, 21))
+    n, d = top * min_len, int(rng.integers(1, 6))
+    feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
+    source = build_variance_table(compute_gram(feats, kernel)) if dense else compute_gram(feats, kernel)
+    ms = rng.permutation([top, *{int(m) for m in rng.integers(1, top + 1, 3)} - {top}]).tolist()
+    m_max = top + int(rng.integers(0, 3))
+    calls = []
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
+        every = segmentation._solve_rows(source, range(1, top + 1), min_len)[0]
+        want = segmentation._solve_rows(source, [top], min_len)[0][top, n]
+        singles = {m: solve_fixed(source, m, min_len) for m in ms}
+        with recorded_rows(calls):
+            fixed = solve_fixed(source, top, min_len)
+            mixed = solve_range(source, ms, min_len)
+            auto = solve_auto(source, m_max, weight, min_len)
+    assert fixed.objective.hex() == float(want).hex() == float(every[top, n]).hex()
+    assert fixed.change_points == tuple(range(min_len, n, min_len))
+    assert mixed == [singles[m] for m in ms]
+    totals = [float(every[m, n]) + segment_count_penalty(m, n, weight) for m in range(1, top + 1)]
+    best = 1 + totals.index(min(totals))
+    assert (auto.m, auto.objective.hex()) == (best, float(every[best, n]).hex())
+    assert auto.change_points == solve_fixed(source, best, min_len).change_points
+    assert all(top not in counts for counts in calls), "the forced count takes no DP row"
+
+
+def test_solve_auto_can_pick_the_forced_count():
+    gram = compute_gram(FeatureSequence(values=np.repeat([[0.0], [10.0], [20.0], [30.0]], 2, axis=0)))
+    calls = []
+    with recorded_rows(calls):
+        seg = solve_auto(gram, 8, min_segment_length=2)
+    assert (seg.m, seg.change_points, seg.objective) == (4, (2, 4, 6), 0.0)
+    assert calls == [[1, 2, 3]]
+
+
+def test_forced_count_alone_takes_one_block_pass_and_no_dp_row():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(31).standard_normal((30, 3))))
+    passes, calls, scatter_blocks = [], [], segmentation._scatter_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return scatter_blocks(*args)
+
+    table = build_variance_table(gram)
+    with mock.patch.object(segmentation, "_scatter_blocks", counted), recorded_rows(calls):
+        seg = solve_fixed(gram, 10, 3)
+    assert (len(passes), calls) == (1, [])
+    assert seg.change_points == (3, 6, 9, 12, 15, 18, 21, 24, 27)
+    assert seg.objective == placement_objective(table, seg.change_points)
+
+
+def test_forced_count_alone_still_raises_precision_loss():
+    baseline = threading.active_count()
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((40, 4))
+    values[20:] = jittered_shots(rng, 2, 4) * 1e4
+    stream = compute_gram(FeatureSequence(values=values))
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
+        for m, min_len in ((40, 1), (20, 2), (10, 4)):
+            with pytest.raises(PrecisionLossError):
+                solve_fixed(stream, m, min_len)
+    with pytest.raises(PrecisionLossError):
+        solve_fixed(stream, 40)
+    assert_workers_joined(baseline)
+
+
+def test_sweep_solve_holds_less_than_the_square_rows():
+    n = 1200
+    grid = [n // div for div in cli.SWEEP_DIVISORS]
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(33).standard_normal((n, 16))))
+    tracemalloc.start()
+    try:
+        solved = solve_range(metrics._uniform_gather(gram, grid), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [seg.m for seg in solved] == grid
+    assert peak < (n + 1) ** 2 * 12, f"the sweep's solve peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_dp_rows_past_half_the_memory_are_refused_before_allocation():
+    n = 50
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(34).standard_normal((n, 3))))
+    row_bytes = (n + 1) * 12
+    memory = 2 * 11 * row_bytes  # rows 0..10 fit in half of it
+    with mock.patch.object(segmentation, "_physical_memory", lambda: memory):
+        assert solve_fixed(gram, 10).m == 10
+        assert solve_fixed(gram, n).m == n  # the forced count takes no row
+        assert [seg.m for seg in solve_range(gram, [n, 10])] == [n, 10]
+        with mock.patch.object(np, "full", side_effect=AssertionError("rows allocated")):
+            with pytest.raises(InstanceTooLargeError) as refused:
+                solve_range(gram, [n, 11])
+            with pytest.raises(InstanceTooLargeError):
+                solve_auto(gram, 12)
+    message = str(refused.value)
+    assert "\n" not in message
+    assert f"need {12 * row_bytes:,} bytes" in message
+    assert f"{memory:,} bytes of memory" in message
+    assert message.endswith("rows fit up to 10 segments")
+
+
+def test_memory_probe_skips_platforms_that_cannot_tell():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(35).standard_normal((12, 2))))
+    assert segmentation._physical_memory() > 0
+    with mock.patch.object(segmentation.os, "sysconf", side_effect=ValueError("unknown name")):
+        assert segmentation._physical_memory() is None
+        assert solve_fixed(gram, 3).m == 3
+    with mock.patch.object(segmentation, "os", object()):  # no os.sysconf at all
+        assert segmentation._physical_memory() is None
+
+
+@given(
+    J=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+    extra=st.integers(0, 100),
+    weight=st.floats(1e-6, 1e6),
+)
+def test_choose_count_is_the_first_minimiser(J, extra, weight):
+    n = len(J) + extra
+    m = segmentation._choose_count(J, n, weight)
+    totals = [j + segment_count_penalty(k, n, weight) for k, j in enumerate(J, start=1)]
+    assert all(totals[m - 1] <= total for total in totals)
+    assert all(total > totals[m - 1] for total in totals[: m - 1])
+    assert segmentation._choose_count([J[0]] * len(J), n, weight) == 1
+
+
+@given(J=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=12))
+def test_choose_count_breaks_ties_towards_fewer_segments(J):
+    with mock.patch.object(segmentation, "segment_count_penalty", lambda m, n, weight: 0.0):
+        assert segmentation._choose_count(J, len(J), 1.0) == 1 + J.index(min(J))
 
 
 # ---------------------------------------------------------------------------
