@@ -86,17 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel temporal segmentation and adaptive frame sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)  # synth and sweep: one synthetic instance
+    for flag in ("--n", "--d", "--segments"):
+        instance.add_argument(flag, type=_positive_int, required=True)
+    for flag in ("--separation", "--sigma"):
+        instance.add_argument(flag, type=_nonnegative_float, required=True)
+    instance.add_argument("--min-seg-len", type=_positive_int, default=1,
+                          help="shortest planted segment; the solver may cut shorter ones")
+    source = argparse.ArgumentParser(add_help=False)  # segment and oracle-check: one feature file
+    source.add_argument("--features", required=True, help="feature matrix (.csv or .ktsf)")
+    source.add_argument("--kernel", type=_kernel, default=KernelSpec(), help="dot, cosine, or rbf:BW")
+    source.add_argument("--min-seg-len", type=_positive_int, default=1)
 
-    seg = sub.add_parser("segment", help="detect change points in a feature file")
+    seg = sub.add_parser("segment", parents=[source], help="detect change points in a feature file")
     seg.set_defaults(run=_cmd_segment)
-    seg.add_argument("--features", required=True, help="feature matrix (.csv or .ktsf)")
     mode = seg.add_mutually_exclusive_group(required=True)
     mode.add_argument("--m", type=_positive_int, help="exact segment count")
     mode.add_argument("--auto", action="store_true", help="choose the segment count automatically")
     seg.add_argument("--max-segments", type=_positive_int, help="upper bound for --auto")
-    seg.add_argument("--penalty-weight", type=_positive_float, default=1.0)
-    seg.add_argument("--kernel", type=_kernel, default=KernelSpec(), help="dot, cosine, or rbf:BW")
-    seg.add_argument("--min-seg-len", type=_positive_int, default=1)
+    seg.add_argument("--penalty-weight", type=_positive_float, help="penalty scale for --auto (default 1.0)")
     seg.add_argument("--out", required=True, help="segmentation JSON to write")
 
     plan = sub.add_parser("plan", help="turn a segmentation into an m x k frame schedule")
@@ -108,15 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--rate", type=_positive_float, required=True, help="candidates per second")
     plan.add_argument("--out", required=True, help="plan JSON to write")
 
-    synth = sub.add_parser("synth", help="generate a synthetic instance with planted boundaries")
+    synth = sub.add_parser("synth", parents=[instance],
+                           help="generate a synthetic instance with planted boundaries")
     synth.set_defaults(run=_cmd_synth)
-    synth.add_argument("--n", type=_positive_int, required=True)
-    synth.add_argument("--d", type=_positive_int, required=True)
-    synth.add_argument("--segments", type=_positive_int, required=True)
-    synth.add_argument("--separation", type=_nonnegative_float, required=True)
-    synth.add_argument("--sigma", type=_nonnegative_float, required=True)
     synth.add_argument("--seed", type=_nonnegative_int, required=True)
-    synth.add_argument("--min-seg-len", type=_positive_int, default=1)
     synth.add_argument("--features-out", required=True, help=".csv or .ktsf to write")
     synth.add_argument("--truth-out", required=True, help="ground-truth JSON to write")
 
@@ -126,35 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True, help="segmentation or truth JSON")
     ev.add_argument("--tolerance", type=_nonnegative_int, default=0)
 
-    oc = sub.add_parser("oracle-check", help="compare the DP solver against enumeration")
+    oc = sub.add_parser("oracle-check", parents=[source], help="compare the DP solver against enumeration")
     oc.set_defaults(run=_cmd_oracle_check)
-    oc.add_argument("--features", required=True)
     oc.add_argument("--m", type=_positive_int, required=True)
-    oc.add_argument("--kernel", type=_kernel, default=KernelSpec())
-    oc.add_argument("--min-seg-len", type=_positive_int, default=1)
 
     sweep = sub.add_parser(
-        "sweep", help="KTS vs uniform across the segment counts n/{1,2,3,4,6}",
+        "sweep", parents=[instance], help="KTS vs uniform across the segment counts n/{1,2,3,4,6}",
         description="Compare KTS with uniform sampling on synthetic instances of seeds 0..seeds-1 "
         "at the segment counts n // {1,2,3,4,6} (at least 1, duplicates once).",
     )
     sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds (0..seeds-1)")
-    sweep.add_argument("--n", type=_positive_int, required=True)
-    sweep.add_argument("--d", type=_positive_int, required=True)
-    sweep.add_argument("--segments", type=_positive_int, required=True)
-    sweep.add_argument("--separation", type=_nonnegative_float, required=True)
-    sweep.add_argument("--sigma", type=_nonnegative_float, required=True)
-    sweep.add_argument("--min-seg-len", type=_positive_int, default=1,
-                       help="shortest planted segment; the solver may cut shorter ones")
     sweep.add_argument("--tolerance", type=_nonnegative_int, default=2)
     sweep.add_argument("--out", required=True, help="CSV to write")
     return parser
 
 
+def _synth_config(args, seed: int) -> SynthConfig:
+    return SynthConfig(n=args.n, d=args.d, segment_count=args.segments, mean_separation=args.separation,
+                       noise_sigma=args.sigma, seed=seed, min_segment_length=args.min_seg_len)
+
+
 def _cmd_segment(parser, args) -> int:
     if args.auto and args.max_segments is None:
         parser.error("--auto requires --max-segments")
+    for flag, value in (("--max-segments", args.max_segments), ("--penalty-weight", args.penalty_weight)):
+        if not args.auto and value is not None:
+            parser.error(f"{flag} applies only to --auto, not --m")
     scatter = compute_gram(
         io.read_features(args.features), args.kernel, max_candidates=_candidate_cap(parser)
     )
@@ -162,7 +163,7 @@ def _cmd_segment(parser, args) -> int:
         seg = solve_auto(
             scatter,
             args.max_segments,
-            penalty_weight=args.penalty_weight,
+            penalty_weight=1.0 if args.penalty_weight is None else args.penalty_weight,
             min_segment_length=args.min_seg_len,
         )
     else:
@@ -183,15 +184,7 @@ def _cmd_plan(parser, args) -> int:
 
 
 def _cmd_synth(parser, args) -> int:
-    config = SynthConfig(
-        n=args.n,
-        d=args.d,
-        segment_count=args.segments,
-        mean_separation=args.separation,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-        min_segment_length=args.min_seg_len,
-    )
+    config = _synth_config(args, args.seed)
     instance = generate(config)
     io.write_features(instance.features, args.features_out)
     io.write_truth(
@@ -246,16 +239,7 @@ def _cmd_sweep(parser, args) -> int:
     grid = list(dict.fromkeys(max(args.n // div, 1) for div in SWEEP_DIVISORS))  # distinct, in order
     rows = []
     for seed in range(args.seeds):
-        config = SynthConfig(
-            n=args.n,
-            d=args.d,
-            segment_count=args.segments,
-            mean_separation=args.separation,
-            noise_sigma=args.sigma,
-            seed=seed,
-            min_segment_length=args.min_seg_len,
-        )
-        instance = generate(config)
+        instance = generate(_synth_config(args, seed))
         gram = compute_gram(instance.features, max_candidates=cap)
         truth = list(instance.true_change_points)
         gather = _uniform_gather(gram, grid)

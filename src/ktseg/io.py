@@ -337,6 +337,7 @@ def write_plan(plan: SamplingPlan, path: str | Path) -> None:
 
 def read_plan(path: str | Path) -> SamplingPlan:
     doc = _load_json(path, PLAN_SCHEMA)
+    m = int(_require(doc, "m", int, path))
     k = int(_require(doc, "k", int, path))
     raw_segments = _require(doc, "segments", list, path)
     segments = []
@@ -350,14 +351,20 @@ def read_plan(path: str | Path) -> SamplingPlan:
         if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in ts):
             raise SchemaMismatchError(f"{path}: sourceTimestamps must hold reals")
         segments.append(
-            SegmentSamples(
+            dict(
                 candidate_range=(rng[0], rng[1]),
                 sampled_candidates=tuple(_int_list(raw, "sampledCandidates", path)),
                 source_frames=tuple(_int_list(raw, "sourceFrames", path)),
                 source_timestamps=tuple(float(t) for t in ts),
             )
         )
-    return SamplingPlan(k=k, segments=tuple(segments))
+    try:
+        plan = SamplingPlan(k=k, segments=tuple(SegmentSamples(**fields) for fields in segments))
+    except InvariantViolationError as exc:  # the plan types do not know the file
+        raise InvariantViolationError(f"{path}: {exc}") from None
+    if plan.m != m:
+        raise InvariantViolationError(f"{path}: m is {m} but the plan holds {plan.m} segments")
+    return plan
 
 
 # ---------------------------------------------------------------------------

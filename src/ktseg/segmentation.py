@@ -393,7 +393,7 @@ def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec, out=None)
     g = np.matmul(xa, xb.T, out=out)
     if kernel.kind == "rbf":
         sqa = np.einsum("ij,ij->i", xa, xa)
-        sqb = sqa if xb is xa else np.einsum("ij,ij->i", xb, xb)
+        sqb = np.einsum("ij,ij->i", xb, xb)
         d2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * g, 0.0)
         with np.errstate(over="ignore"):  # a ratio past float64 stands for exp(-inf) = 0
             g = np.exp(-d2 / (2.0 * kernel.bandwidth**2), out=g)

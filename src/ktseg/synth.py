@@ -37,8 +37,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _raw(seed: int, start: int, count: int) -> np.ndarray:
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def _raw(seed: int, count: int) -> np.ndarray:
+    counters = np.arange(1, count + 1, dtype=np.uint64)
     return _mix64(np.uint64(seed) + counters * np.uint64(_GOLDEN))
 
 
@@ -46,12 +46,12 @@ def _substream_seed(seed: int, salt: int) -> int:
     return int(_mix64(np.array([np.uint64(seed) ^ np.uint64(salt)], dtype=np.uint64))[0])
 
 
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    return (_raw(seed, start, count) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    return (_raw(seed, count) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
 
 
 def _normals(seed: int, count: int) -> np.ndarray:
-    pair = _raw(seed, 0, 2 * count).reshape(count, 2) >> np.uint64(11)
+    pair = _raw(seed, 2 * count).reshape(count, 2) >> np.uint64(11)
     u1 = (pair[:, 0].astype(np.float64) + 1.0) * _TWO_NEG_53  # in (0, 1], keeps log finite
     u2 = pair[:, 1].astype(np.float64) * _TWO_NEG_53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
@@ -109,7 +109,7 @@ def _draw_subset(seed: int, pool_size: int, count: int) -> list[int]:
     need = count
     if need == 0:
         return chosen
-    u = _uniforms(seed, 0, pool_size)
+    u = _uniforms(seed, pool_size)
     for j in range(pool_size):
         if need == 0:
             break

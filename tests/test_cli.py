@@ -605,3 +605,88 @@ def test_sweep_deterministic(tmp_path):
     assert run_cli(*args, out1).returncode == 0
     assert run_cli(*args, out2).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# flag surface: every option of every subcommand, with its type, default and required flag
+
+POS_INT, NONNEG_INT, POS_FLOAT, NONNEG_FLOAT = (
+    cli._positive_int, cli._nonnegative_int, cli._positive_float, cli._nonnegative_float
+)
+HELP = {("-h", "--help"): (None, "==SUPPRESS==", False)}
+INSTANCE = {
+    ("--n",): (POS_INT, None, True),
+    ("--d",): (POS_INT, None, True),
+    ("--segments",): (POS_INT, None, True),
+    ("--separation",): (NONNEG_FLOAT, None, True),
+    ("--sigma",): (NONNEG_FLOAT, None, True),
+    ("--min-seg-len",): (POS_INT, 1, False),
+}
+SOURCE = {
+    ("--features",): (None, None, True),
+    ("--kernel",): (cli._kernel, segmentation.KernelSpec(), False),
+    ("--min-seg-len",): (POS_INT, 1, False),
+}
+FLAG_SURFACE = {
+    "segment": {
+        **HELP, **SOURCE,
+        ("--m",): (POS_INT, None, False),
+        ("--auto",): (None, False, False),
+        ("--max-segments",): (POS_INT, None, False),
+        ("--penalty-weight",): (POS_FLOAT, None, False),
+        ("--out",): (None, None, True),
+    },
+    "plan": {
+        **HELP,
+        ("--segmentation",): (None, None, True),
+        ("--k",): (POS_INT, None, True),
+        ("--duration",): (POS_FLOAT, None, True),
+        ("--fps",): (POS_FLOAT, None, True),
+        ("--rate",): (POS_FLOAT, None, True),
+        ("--out",): (None, None, True),
+    },
+    "synth": {
+        **HELP, **INSTANCE,
+        ("--seed",): (NONNEG_INT, None, True),
+        ("--features-out",): (None, None, True),
+        ("--truth-out",): (None, None, True),
+    },
+    "eval": {
+        **HELP,
+        ("--pred",): (None, None, True),
+        ("--truth",): (None, None, True),
+        ("--tolerance",): (NONNEG_INT, 0, False),
+    },
+    "oracle-check": {**HELP, **SOURCE, ("--m",): (POS_INT, None, True)},
+    "sweep": {
+        **HELP, **INSTANCE,
+        ("--seeds",): (POS_INT, 5, False),
+        ("--tolerance",): (NONNEG_INT, 2, False),
+        ("--out",): (None, None, True),
+    },
+}
+
+
+def test_flag_surface():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    surface = {
+        name: {tuple(a.option_strings): (a.type, a.default, a.required) for a in parser._actions}
+        for name, parser in commands.items()
+    }
+    assert surface == FLAG_SURFACE
+    groups = [[a.option_strings for a in g._group_actions] for g in commands["segment"]._mutually_exclusive_groups]
+    assert groups == [[["--m"], ["--auto"]]] and commands["segment"]._mutually_exclusive_groups[0].required
+
+
+@pytest.mark.parametrize("flag", [["--max-segments", "2"], ["--penalty-weight", "5"]])
+def test_segment_fixed_refuses_auto_only_flags(tmp_path, flag):
+    path = tmp_path / "feats.csv"
+    write_features(generate(
+        SynthConfig(n=40, d=4, segment_count=3, mean_separation=2.0, noise_sigma=0.1, seed=1)
+    ).features, path)
+    out = tmp_path / "seg.json"
+    res = run_cli("segment", "--features", path, "--m", 3, *flag, "--out", out)
+    assert res.returncode == 2
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag[0] in errors[0] and "--auto" in errors[0], res.stderr
+    assert not out.exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -313,6 +314,41 @@ def test_plan_schema_guard(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"schema": "kts-plan/2", "k": 1, "segments": []}')
     with pytest.raises(SchemaMismatchError):
+        read_plan(path)
+
+
+def set_segment_field(index, key, value):
+    def edit(doc):
+        doc["segments"][index][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_segment_field(0, "sampledCandidates", [0, 5]), "sampled candidate 5 outside [0, 2)"),
+        (set_segment_field(1, "sampledCandidates", [3, 2]), "sampled candidates must be non-decreasing"),
+        (set_segment_field(0, "sourceFrames", [0]), "sampled candidate/frame/timestamp lists must align"),
+        (set_segment_field(0, "sourceFrames", [-1, 30]), "source frame indices must be nonnegative"),
+        (set_segment_field(0, "candidateRange", [2, 2]), "bad candidate range [2, 2)"),
+        (lambda doc: doc.update(k=3), "every segment must carry exactly k samples"),
+        (lambda doc: doc["segments"][1].update(candidateRange=[3, 5], sampledCandidates=[3, 4]),
+         "segment candidate ranges must tile contiguously"),
+        (set_segment_field(1, "sourceFrames", [20, 90]), "source frames must be non-decreasing across the plan"),
+        (lambda doc: doc.update(m=0, segments=[]), "plan needs k >= 1 and at least one segment"),
+        (lambda doc: doc.update(m=5), "m is 5 but the plan holds 2 segments"),
+    ],
+    ids=["sample outside range", "decreasing samples", "misaligned lists", "negative frame",
+         "empty range", "k mismatch", "non-contiguous ranges", "frames decrease across segments",
+         "no segments", "m mismatch"],
+)
+def test_plan_reader_names_the_file_for_each_invariant(tmp_path, edit, message):
+    path = tmp_path / "plan.json"
+    write_plan(make_plan(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantViolationError, match=re.escape(f"{path}: {message}")):
         read_plan(path)
 
 
