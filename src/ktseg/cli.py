@@ -20,6 +20,7 @@ from .sampling import VideoTimeline, plan_samples, uniform_change_points
 from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
     KernelSpec,
+    _check_candidates,
     build_variance_table,
     compute_gram,
     solve_auto,
@@ -236,6 +237,7 @@ def _cmd_oracle_check(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     cap = _candidate_cap(parser)
+    _check_candidates(args.n, cap)  # before synthesizing n*d features that compute_gram would refuse
     grid = list(dict.fromkeys(max(args.n // div, 1) for div in SWEEP_DIVISORS))  # distinct, in order
     rows = []
     for seed in range(args.seeds):
@@ -275,7 +277,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
 from .sampling import uniform_change_points
-from .segmentation import GramMatrix, Segmentation, VarianceTable, _WindowGather, solve_fixed
+from .segmentation import GramMatrix, Segmentation, _WindowGather, _dp_sum, solve_fixed
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class ObjectiveComparison(NamedTuple):
     uniform_objective: float
 
 
-def _uniform_gather(source: VarianceTable | GramMatrix, ms: Sequence[int]) -> _WindowGather:
+def _uniform_gather(source: GramMatrix, ms: Sequence[int]) -> _WindowGather:
     """``source``'s blocks, gathering the m windows of the equal-length split of [0, n) for each m of ``ms``."""
     windows = []
     for m in ms:
@@ -90,15 +91,13 @@ def _against_uniform(segs: Sequence[Segmentation], gather: _WindowGather) -> lis
     """Each segmentation's objective next to the equal-length split's at its m.
 
     ``gather`` is :func:`_uniform_gather` of the segmentations' counts, in order, after the solve
-    that read its blocks. Each split is summed left to right from 0.0, as the DP sums. The optimum
-    never exceeds it (it is a placement the DP searches): failing means a bug.
+    that read its blocks. Each split is summed as the DP sums (:func:`_dp_sum`). The optimum never
+    exceeds it (it is a placement the DP searches): failing means a bug.
     """
     scatters = iter(gather.scatters.tolist())
     comparisons = []
     for seg in segs:
-        uniform = 0.0
-        for _ in range(seg.m):
-            uniform += next(scatters)
+        uniform = _dp_sum(islice(scatters, seg.m))
         if seg.objective > uniform:
             raise RuntimeError(
                 f"optimal objective {seg.objective!r} exceeds uniform split {uniform!r}; solver bug"
@@ -107,7 +106,7 @@ def _against_uniform(segs: Sequence[Segmentation], gather: _WindowGather) -> lis
     return comparisons
 
 
-def objective_comparison(source: VarianceTable | GramMatrix, m: int) -> ObjectiveComparison:
+def objective_comparison(source: GramMatrix, m: int) -> ObjectiveComparison:
     """Optimal objective next to the equal-length split's objective at m, off the solve's one block pass."""
     gather = _uniform_gather(source, [m])
     return _against_uniform([solve_fixed(gather, m, min_segment_length=1)], gather)[0]

@@ -13,9 +13,11 @@ running sums of squared pairwise kernel distances (``_scatter_blocks``):
 a solve needs O(m*n) memory. Chosen windows (``_WindowGather``) are read
 off the blocks of the solve they feed, so a comparison makes no pass of
 its own.
-``build_variance_table`` writes the same blocks down as the dense reference
-of the brute-force oracle, ``placement_objective`` and the tests; its
-(n+1)^2 table is the only O(n^2) array, its scatters the solvers', bit for bit.
+``build_variance_table`` writes the same blocks down: its ``VarianceTable``
+is a ``GramMatrix`` whose (n+1)^2 array, the only O(n^2) one, answers the
+brute-force oracle, ``placement_objective`` and the tests in O(1) a window. A
+solve on a table streams its rows' blocks like any solve, so its scatters are
+the table's, bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -146,52 +148,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class VarianceTable:
-    """Dense reference: the clamped scatter of every half-open window.
-
-    var_matrix[a, b] holds the scatter of window [a, b), that is
-
-        sum_{a <= s < s' < b} d2(s, s') / (b - a),
-        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
-
-    for every a < b: the squared kernel distances of the window's frame pairs,
-    summed and divided by its length. That equals its Gram diagonal sum less
-    its Gram mass over b - a. Single-frame windows are exactly zero. O(n^2)
-    memory, O(1) per query. trace is the sum of the Gram diagonal, the scale
-    of every scatter.
-    """
-
-    var_matrix: np.ndarray
-    trace: float
-
-    @property
-    def n(self) -> int:
-        return self.var_matrix.shape[0] - 1
-
-    def var(self, a: int, b: int) -> float:
-        """Clamped scatter of candidate window [a, b)."""
-        if not (0 <= a < b <= self.n):
-            raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
-        return float(self.var_matrix[a, b])
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices.
-
-        Yields (e0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t] is the scatter of
-        window [t, e0 + j) for t < e0 + j, with one column per start index
-        t < e1 - 1 (e1 = e0 + len(v)); entries with t >= e0 + j are unspecified.
-        v is a scratch buffer the caller may overwrite; it is reused by the
-        next block.
-        """
-        buf = np.empty(min(_BLOCK_ENDS, self.n) * self.n)
-        for e0 in range(1, self.n + 1, _BLOCK_ENDS):
-            e1 = min(e0 + _BLOCK_ENDS, self.n + 1)
-            v = buf[: (e1 - e0) * (e1 - 1)].reshape(e1 - e0, e1 - 1)
-            np.copyto(v, self.var_matrix[: e1 - 1, e0:e1].T)
-            yield e0, v
-
-
-@dataclass(frozen=True)
 class GramMatrix:
     """Kernel values between all candidate frames, kept implicit in the kernel's input rows.
 
@@ -214,16 +170,48 @@ class GramMatrix:
         return float(_kernel_diagonal(self.rows, self.kernel).sum())
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Same contract as :meth:`VarianceTable.blocks`; see :func:`_scatter_blocks`."""
+        """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices; see :func:`_scatter_blocks`.
+
+        Yields (e0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t] is the scatter of
+        window [t, e0 + j) for t < e0 + j, with one column per start index
+        t < e1 - 1 (e1 = e0 + len(v)); entries with t >= e0 + j are unspecified.
+        v is a scratch buffer the caller may overwrite; it is reused by a later
+        block.
+        """
         blocks = _scatter_blocks(self)
         # Under four blocks, a worker thread costs more than its overlap saves.
         return _prefetched(blocks) if self.n >= 4 * _BLOCK_ENDS else blocks
 
 
+@dataclass(frozen=True)
+class VarianceTable(GramMatrix):
+    """Dense reference: a GramMatrix with the clamped scatter of every half-open window written down.
+
+    var_matrix[a, b] holds the scatter of window [a, b), that is
+
+        sum_{a <= s < s' < b} d2(s, s') / (b - a),
+        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
+
+    for every a < b: the squared kernel distances of the window's frame pairs,
+    summed and divided by its length. That equals its Gram diagonal sum less
+    its Gram mass over b - a. Single-frame windows are exactly zero. O(n^2)
+    memory, O(1) per query. Its blocks are its rows' blocks, so a solve on a
+    table computes the very scatters the table holds.
+    """
+
+    var_matrix: np.ndarray
+
+    def var(self, a: int, b: int) -> float:
+        """Clamped scatter of candidate window [a, b)."""
+        if not (0 <= a < b <= self.n):
+            raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
+        return float(self.var_matrix[a, b])
+
+
 def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """The one scatter arithmetic, computed in place in reused buffers.
 
-    Yields the blocks of :meth:`VarianceTable.blocks` for ``gram``. One matmul per
+    Yields the blocks of :meth:`GramMatrix.blocks` for ``gram``. One matmul per
     block forms the kernel column of each end e = e0 + j, K(e-1, s) for s < cols,
     and turns it into squared kernel distances d2(s, e-1); only s < e-1 is read.
     Running pair sums follow
@@ -273,7 +261,7 @@ class _WindowGather:
     0 <= a < b <= n; callers build them from valid change points.
     """
 
-    def __init__(self, source: VarianceTable | GramMatrix, windows: Sequence[tuple[int, int]]):
+    def __init__(self, source: GramMatrix, windows: Sequence[tuple[int, int]]):
         self.source, self.n = source, source.n
         self._a, self._b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
         self.scatters = np.empty(len(self._b))
@@ -352,40 +340,12 @@ class Segmentation:
         return tuple(zip(bounds[:-1], bounds[1:]))
 
 
-def _kernel_rows(
-    features: FeatureSequence, kernel: KernelSpec, max_candidates: int
-) -> np.ndarray:
-    """The rows the kernel compares, after the candidate cap and row checks.
-
-    Dot-kernel rows are centred by their column mean. The scatter is
-    translation invariant, and centred rows keep the Gram entries near the
-    scatter's own magnitude, so a large offset cannot cancel it away. Raises
-    PrecisionLossError unless 4*n*sum ||x||^2, a bound on every kernel value,
-    squared kernel distance and window pair sum, is finite (for cosine: unless
-    every norm is).
-    """
-    if features.n > max_candidates:
+def _check_candidates(n: int, max_candidates: int) -> None:
+    if n > max_candidates:
         raise TooManyCandidatesError(
-            f"{features.n} candidate frames exceed the cap of {max_candidates}; "
+            f"{n} candidate frames exceed the cap of {max_candidates}; "
             "the exact solve takes O(m*n^2) time (raise the cap explicitly to proceed)"
         )
-    x = features.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kernel.kind == "dot":
-            x = x - x.mean(axis=0)
-        norms = np.linalg.norm(x, axis=1) if kernel.kind == "cosine" else None
-        bound = norms.max() if norms is not None else 4.0 * len(x) * np.einsum("ij,ij->", x, x)
-    if not np.isfinite(bound):
-        raise PrecisionLossError(
-            f"kernel values overflow float64 (bound {bound:.3e}); "
-            "rescale the features closer to unit magnitude"
-        )
-    if norms is None:
-        return x
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
-    return x / norms[:, None]
 
 
 def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec, out=None) -> np.ndarray:
@@ -422,22 +382,42 @@ def compute_gram(
     """This kernel over these features: the one scatter source of the solvers and the table.
 
     No Gram entry is formed here; the solvers and :func:`build_variance_table`
-    compute them block by block. The dot kernel is taken between rows centred
+    compute them block by block from the rows kept. Dot-kernel rows are centred
     by their column mean, so these are the Gram entries of the centred
-    features; the scatters built from them are those of the raw features.
-    Raises TooManyCandidatesError above ``max_candidates`` frames and
-    ZeroNormRowError when the cosine kernel meets an all-zero row; the
-    scatters raise PrecisionLossError when a raw one falls below -1e-9, that
-    is when cancellation has destroyed its precision.
+    features: the scatter is translation invariant, and centred rows keep the
+    Gram entries near the scatter's own magnitude, so a large offset cannot
+    cancel it away. Cosine rows are L2-normalized. Raises
+    TooManyCandidatesError above ``max_candidates`` frames, ZeroNormRowError
+    when the cosine kernel meets an all-zero row, and PrecisionLossError unless
+    4*n*sum ||x||^2, a bound on every kernel value, squared kernel distance and
+    window pair sum, is finite (for cosine: unless every norm is). The scatters
+    raise PrecisionLossError when a raw one falls below -1e-9, that is when
+    cancellation has destroyed its precision.
     """
     kernel = kernel if kernel is not None else KernelSpec()
-    rows = _kernel_rows(features, kernel, max_candidates)
-    rows.setflags(write=False)
-    return GramMatrix(rows=rows, kernel=kernel)
+    _check_candidates(features.n, max_candidates)
+    x = features.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.kind == "dot":
+            x = x - x.mean(axis=0)
+        norms = np.linalg.norm(x, axis=1) if kernel.kind == "cosine" else None
+        bound = norms.max() if norms is not None else 4.0 * len(x) * np.einsum("ij,ij->", x, x)
+    if not np.isfinite(bound):
+        raise PrecisionLossError(
+            f"kernel values overflow float64 (bound {bound:.3e}); "
+            "rescale the features closer to unit magnitude"
+        )
+    if norms is not None:
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
+        x = x / norms[:, None]
+    x.setflags(write=False)
+    return GramMatrix(rows=x, kernel=kernel)
 
 
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
-    """The clamped scatter of every window: the blocks the solvers consume, written down.
+    """``gram`` with the clamped scatter of every window written down: the blocks the solvers consume.
 
     Runs :func:`_scatter_blocks` on the calling thread at the solvers' block
     width, so every entry is bit-identical to the scatter a solver sees for
@@ -450,19 +430,25 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     for e0, raw in _scatter_blocks(gram):
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
-    return VarianceTable(var_matrix=var_matrix, trace=gram.trace)
+    return VarianceTable(rows=gram.rows, kernel=gram.kernel, var_matrix=var_matrix)
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
-    """Total scatter of an explicit placement, accumulated left to right.
-
-    Uses the exact same addition order as the DP solvers so equal
-    placements produce bit-identical totals.
-    """
+    """Total scatter of an explicit placement, summed as the DP sums it (see :func:`_dp_sum`)."""
     bounds = (0, *change_points, table.n)
+    return _dp_sum(table.var(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _dp_sum(scatters: Iterable[float]) -> float:
+    """``scatters`` added left to right from 0.0, the order in which the DP adds a placement's windows.
+
+    Equal placements thus get bit-identical totals. Not ``sum()``: from Python
+    3.12 it compensates float error, so ``sum([1.0, 1e-16, 1e-16])`` is
+    1.0000000000000002 there but 1.0 here and in the DP.
+    """
     total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        total += table.var(a, b)
+    for scatter in scatters:
+        total += scatter
     return total
 
 
@@ -489,7 +475,7 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: int):
+def _solve_rows(table: GramMatrix, ms: Sequence[int], min_len: int):
     """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
 
     cost[i][e] is the optimal scatter of splitting [0, e) into i segments of
@@ -581,15 +567,15 @@ def _solve_rows(table: VarianceTable | GramMatrix, ms: Sequence[int], min_len: i
     return cost, back
 
 
-def _solve_counts(table: VarianceTable | GramMatrix, ms: Iterable[int], min_len: int):
+def _solve_counts(table: GramMatrix, ms: Iterable[int], min_len: int):
     """J(m) for each segment count m of ``ms``, and its optimal segmentation, off one block pass.
 
     Returns (J, segmentation): J[m] equals cost[m, n] of :func:`_solve_rows` bit
     for bit, and segmentation(m, **penalty) is the optimal split of [0, n) into m
     segments, read back from the rows. Only counts with a choice get DP rows. The
     forced count m = n / min_len, if requested, has one placement, every segment
-    min_len long: its windows are read off the rows' block pass and summed left
-    to right from 0.0, the DP's order. Asked alone, it still takes the block
+    min_len long: its windows are read off the rows' block pass and summed in
+    the DP's order (:func:`_dp_sum`). Asked alone, it still takes the block
     pass, so its scatters are checked for precision as any solve's are.
     """
     n, ms = table.n, set(ms)
@@ -605,9 +591,7 @@ def _solve_counts(table: VarianceTable | GramMatrix, ms: Iterable[int], min_len:
         for _ in table.blocks():
             pass
     if forced:
-        J[forced] = 0.0
-        for scatter in table.scatters.tolist():
-            J[forced] += scatter
+        J[forced] = _dp_sum(table.scatters.tolist())
 
     def segmentation(m: int, **penalty) -> Segmentation:
         if m == forced:
@@ -625,9 +609,7 @@ def _solve_counts(table: VarianceTable | GramMatrix, ms: Iterable[int], min_len:
     return J, segmentation
 
 
-def solve_fixed(
-    table: VarianceTable | GramMatrix, m: int, min_segment_length: int = 1
-) -> Segmentation:
+def solve_fixed(table: GramMatrix, m: int, min_segment_length: int = 1) -> Segmentation:
     """Globally optimal segmentation into exactly m segments.
 
     Exact dynamic program over cost[i][j] = min_t cost[i-1][t] + var(t, j),
@@ -648,7 +630,7 @@ def _choose_count(J: Sequence[float], n: int, weight: float) -> int:
 
 
 def solve_auto(
-    table: VarianceTable | GramMatrix,
+    table: GramMatrix,
     m_max: int,
     penalty_weight: float = 1.0,
     min_segment_length: int = 1,
@@ -676,7 +658,7 @@ def solve_auto(
 
 
 def solve_range(
-    table: VarianceTable | GramMatrix,
+    table: GramMatrix,
     m_values: Iterable[int],
     min_segment_length: int = 1,
 ) -> list[Segmentation]:

@@ -596,6 +596,21 @@ def test_sweep_honours_candidate_cap_env(tmp_path):
     assert run_cli(*args, env_extra={"KTS_MAX_CANDIDATES": "12"}).returncode == 0
 
 
+def test_sweep_refuses_the_cap_before_synthesizing(tmp_path, monkeypatch, capsys):
+    def synthesized(config):
+        raise AssertionError("sweep synthesized an instance over the candidate cap")
+
+    monkeypatch.setattr(cli, "generate", synthesized)
+    monkeypatch.setenv("KTS_MAX_CANDIDATES", "10")
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--seeds", "1", "--n", "20000", "--d", "256", "--segments", "2",
+            "--separation", "1", "--sigma", "0.1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: 20000 candidate frames exceed the cap of 10;"), err
+    assert not out.exists()
+
+
 def test_sweep_deterministic(tmp_path):
     args = (
         "sweep", "--seeds", 2, "--n", 24, "--d", 3, "--segments", 3,
