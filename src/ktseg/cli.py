@@ -1,8 +1,9 @@
 """Command-line front door: segment, plan, synth, eval, oracle-check, sweep.
 
 Exit codes: 0 success, 1 invariant or data failure, 2 flag misuse. All
-numeric flags are validated before anything is written, human-readable
-summaries go to stdout, and machine-readable content only to --out files.
+flags and ``KTS_MAX_CANDIDATES`` are checked before any input is read, so
+before anything is written; human-readable summaries go to stdout, and
+machine-readable content only to --out files.
 """
 
 from __future__ import annotations
@@ -157,9 +158,8 @@ def _cmd_segment(parser, args) -> int:
     for flag, value in (("--max-segments", args.max_segments), ("--penalty-weight", args.penalty_weight)):
         if not args.auto and value is not None:
             parser.error(f"{flag} applies only to --auto, not --m")
-    scatter = compute_gram(
-        io.read_features(args.features), args.kernel, max_candidates=_candidate_cap(parser)
-    )
+    cap = _candidate_cap(parser)
+    scatter = compute_gram(io.read_features(args.features), args.kernel, max_candidates=cap)
     if args.auto:
         seg = solve_auto(
             scatter,
@@ -219,9 +219,10 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_oracle_check(parser, args) -> int:
+    cap = _candidate_cap(parser)
     features = io.read_features(args.features)
     _check_size(features.n)  # before the solves, which the oracle would then refuse
-    gram = compute_gram(features, args.kernel, max_candidates=_candidate_cap(parser))
+    gram = compute_gram(features, args.kernel, max_candidates=cap)
     dp = solve_fixed(gram, args.m, min_segment_length=args.min_seg_len)
     bf = brute_force(build_variance_table(gram), args.m, min_segment_length=args.min_seg_len)
     same = dp.change_points == bf.change_points and abs(dp.objective - bf.objective) <= 1e-9

@@ -53,16 +53,16 @@ class RaggedRowsError(KtsError):
     """Feature CSV rows have inconsistent widths."""
 
 
-class NonFiniteValueError(KtsError):
-    """A feature value is NaN or infinite."""
-
-
 class SchemaMismatchError(KtsError):
     """JSON document carries an unknown or unsupported schema tag."""
 
 
 class InvariantViolationError(KtsError):
     """A value fails its structural invariants."""
+
+
+class NonFiniteValueError(InvariantViolationError):
+    """A feature value is NaN or infinite."""
 
 
 class InstanceTooLargeError(KtsError):

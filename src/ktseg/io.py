@@ -148,16 +148,6 @@ def _int_list(doc: dict, key: str, path) -> list[int]:
     return out
 
 
-def _boundaries(doc: dict, path) -> tuple[int, list[int]]:
-    """n and changePoints, held to Segmentation's rules: n >= 1, points rising inside 1..n-1."""
-    n, change_points = int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
-    try:
-        Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(f"{path}: {exc}") from None
-    return n, change_points
-
-
 # ---------------------------------------------------------------------------
 # Feature matrices.
 
@@ -229,9 +219,9 @@ def _read_features_csv_tokens(path: Path) -> list[list[float]]:
             try:
                 value = float(token)
             except ValueError:
-                hint = (
+                hint = (  # an empty field is a trailing comma, not a header
                     "; feature CSV is headerless, remove the header row"
-                    if lineno == 1
+                    if lineno == 1 and token
                     else ""
                 )
                 raise MalformedHeaderError(
@@ -265,11 +255,10 @@ def _read_features_binary(path: Path) -> FeatureSequence:
             f"{path}: payload is {len(blob) - _HEADER.size} bytes, header implies {expected}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)  # no copy
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise NonFiniteValueError(f"{path}: non-finite value at row {r + 1}, column {c + 1}")
-    return FeatureSequence(values=values)  # widened to float64 there
+    try:
+        return FeatureSequence(values=values)  # widened to float64 and checked there
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +371,18 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
+    """The truth document in ``path``, its boundaries held to Segmentation's rules."""
     doc = _load_json(path, TRUTH_SCHEMA)
-    n, change_points = _boundaries(doc, path)
+    n, change_points = int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
+    try:
+        Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"{path}: {exc}") from None
     return GroundTruth(n=n, change_points=tuple(change_points), seed=int(_require(doc, "seed", int, path)))
 
 
 def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
-    """Candidate count n and boundary list from either a segmentation or a ground-truth document."""
-    return _boundaries(_load_json(path, SEGMENTATION_SCHEMA, TRUTH_SCHEMA), path)
+    """Candidate count n and boundary list of a segmentation or ground-truth document, read in full."""
+    schema = _load_json(path, SEGMENTATION_SCHEMA, TRUTH_SCHEMA)["schema"]
+    boundaries = read_segmentation(path) if schema == SEGMENTATION_SCHEMA else read_truth(path)
+    return boundaries.n, list(boundaries.change_points)

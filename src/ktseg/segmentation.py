@@ -48,6 +48,7 @@ from .errors import (
     InfeasibleSegmentCountError,
     InstanceTooLargeError,
     InvariantViolationError,
+    NonFiniteValueError,
     NonPositivePenaltyWeightError,
     PrecisionLossError,
     TooManyCandidatesError,
@@ -88,8 +89,9 @@ class FeatureSequence:
             raise InvariantViolationError(
                 f"feature matrix must be n x d with n, d >= 1, got shape {values.shape}"
             )
-        if not np.isfinite(values).all():
-            raise InvariantViolationError("feature values must all be finite")
+        if not np.isfinite(values).all():  # the first bad value, row-major, only on failure
+            r, c = np.argwhere(~np.isfinite(values))[0]
+            raise NonFiniteValueError(f"non-finite value at row {r + 1}, column {c + 1}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -579,6 +581,9 @@ def _solve_counts(table: GramMatrix, ms: Iterable[int], min_len: int):
     pass, so its scatters are checked for precision as any solve's are.
     """
     n, ms = table.n, set(ms)
+    # Feasible counts form 1..n // min_len, so the extremes check them all; none asked fails as 0.
+    _check_feasible(n, min(ms, default=1), min_len)
+    _check_feasible(n, max(ms, default=0), min_len)
     forced = n // min_len if n % min_len == 0 and n // min_len in ms else None
     choice = ms - {forced}
     if forced:
@@ -618,7 +623,6 @@ def solve_fixed(table: GramMatrix, m: int, min_segment_length: int = 1) -> Segme
     skipped. Ties take the smallest t at every cell, which makes the
     result deterministic and comparable against exhaustive enumeration.
     """
-    _check_feasible(table.n, m, min_segment_length)
     _, segmentation = _solve_counts(table, [m], min_segment_length)
     return segmentation(m)
 
@@ -648,9 +652,8 @@ def solve_auto(
     if not (penalty_weight > 0) or not math.isfinite(penalty_weight):
         raise NonPositivePenaltyWeightError(f"penalty weight must be positive, got {penalty_weight}")
     n = table.n
-    _check_feasible(n, 1, min_segment_length)
+    _check_feasible(n, 1, min_segment_length)  # before the division by min_segment_length
     m_max = min(m_max, n // min_segment_length)
-    _check_feasible(n, m_max, min_segment_length)
     J, segmentation = _solve_counts(table, range(1, m_max + 1), min_segment_length)
     m = _choose_count([J[m] for m in range(1, m_max + 1)], n, penalty_weight)
     penalty = segment_count_penalty(m, n, penalty_weight)
@@ -666,7 +669,5 @@ def solve_range(
     ms = [int(m) for m in m_values]
     if not ms:
         return []
-    for m in ms:
-        _check_feasible(table.n, m, min_segment_length)
     _, segmentation = _solve_counts(table, ms, min_segment_length)
     return [segmentation(m) for m in ms]

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
-from .errors import InfeasibleConfigError
+from .errors import InfeasibleConfigError, NonFiniteValueError
 from .segmentation import FeatureSequence
 
 np = lazy_numpy()
@@ -146,13 +146,11 @@ def generate(config: SynthConfig) -> SyntheticInstance:
     noise = _normals(_substream_seed(config.seed, _NOISE_SALT), n * d).reshape(n, d)
     with np.errstate(over="ignore", invalid="ignore"):
         values = means[labels] + config.noise_sigma * noise
-    if not np.isfinite(values).all():
+    try:
+        features = FeatureSequence(values=values)
+    except NonFiniteValueError:
         raise InfeasibleConfigError(
             f"separation {config.mean_separation!r} and noise sigma {config.noise_sigma!r} "
             "overflow float64 feature values"
-        )
-    return SyntheticInstance(
-        features=FeatureSequence(values=values),
-        true_change_points=change_points,
-        config=config,
-    )
+        ) from None
+    return SyntheticInstance(features=features, true_change_points=change_points, config=config)

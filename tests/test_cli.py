@@ -120,6 +120,19 @@ def test_segment_candidate_cap_env(blocks_csv, tmp_path):
     assert "cap" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("command", ["segment", "oracle-check"])
+def test_candidate_cap_env_is_checked_before_the_features_are_read(tmp_path, command, value):
+    out = tmp_path / "x.json"
+    flags = ["--out", out] if command == "segment" else []
+    res = run_cli(command, "--features", tmp_path / "missing.csv", "--m", 2, *flags,
+                  env_extra={"KTS_MAX_CANDIDATES": value})
+    assert res.returncode == 2, res.stderr
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "KTS_MAX_CANDIDATES" in errors[0] and value in errors[0], res.stderr
+    assert not out.exists()
+
+
 def test_segment_precision_loss_is_a_one_line_error(tmp_path):
     # Four static shots of ten rows with 1e-9 jitter, at 1e4: their scatters sink below rounding.
     rng = np.random.default_rng(0)
@@ -510,6 +523,24 @@ def test_eval_accepts_segmentation_documents(blocks_csv, tmp_path):
     res = run_cli("eval", "--pred", seg_path, "--truth", seg_path, "--tolerance", 0)
     assert res.returncode == 0
     assert json.loads(res.stdout)["f1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "kts-segmentation/1", "n": 10, "m": 5, "changePoints": [3, 6], "objective": -1.0,
+         "penalty": 0.0, "penaltyWeight": 0.0, "kernel": "dot", "minSegmentLength": 4},
+        {"schema": "kts-truth/1", "n": 10, "changePoints": [3, 6]},
+    ],
+    ids=["corrupt segmentation", "truth without seed"],
+)
+def test_eval_refuses_what_the_document_readers_refuse(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("eval", "--pred", bad, "--truth", bad, "--tolerance", 0)
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), res.stderr
 
 
 def test_oracle_check_match(blocks_csv):

@@ -65,6 +65,14 @@ def test_csv_header_row_hint(tmp_path):
         read_features(path)
 
 
+def test_csv_trailing_comma_on_row_one_gets_no_header_hint(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("1,2,\n3,4,\n")  # as spreadsheets export it
+    with pytest.raises(MalformedHeaderError, match="unparseable value '' at row 1, column 3") as info:
+        read_features(path)
+    assert "headerless" not in str(info.value)
+
+
 def test_csv_non_finite_location(tmp_path):
     path = tmp_path / "feats.csv"
     path.write_text("1,0\n0,nan\n")
@@ -211,6 +219,21 @@ def test_binary_rejects_short_payload(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"KTSF\x01\x00\x00\x00\x02", "truncated header (9 bytes)"),
+        (struct.pack("<4sIQQ", b"KTSF", 2, 1, 1) + b"\x00" * 4, "unsupported version 2"),
+    ],
+    ids=["truncated header", "unsupported version"],
+)
+def test_binary_rejects_malformed_headers(tmp_path, blob, message):
+    path = tmp_path / "a.ktsf"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedHeaderError, match=re.escape(f"{path}: {message}")):
+        read_features(path)
+
+
 def test_binary_non_finite_location(tmp_path):
     payload = np.array([[1.0, 2.0], [np.inf, 4.0]], dtype="<f4").tobytes()
     path = tmp_path / "a.ktsf"
@@ -241,6 +264,13 @@ def test_unknown_extension(tmp_path):
     path.write_text("1,2\n")
     with pytest.raises(MalformedHeaderError, match="extension"):
         read_features(path)
+
+
+def test_write_features_refuses_unknown_extension(tmp_path):
+    path = tmp_path / "a.npy"
+    with pytest.raises(MalformedHeaderError, match=re.escape(f"{path}: unsupported feature extension '.npy'")):
+        write_features(FeatureSequence(values=[[1.0]]), path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +317,35 @@ def test_segmentation_missing_field(tmp_path):
     path.write_text('{"schema": "kts-segmentation/1", "n": 4}')
     with pytest.raises(SchemaMismatchError, match="missing"):
         read_segmentation(path)
+
+
+def plan_with_segment(**fields):
+    segment = {"candidateRange": [0, 2], "sampledCandidates": [0, 1], "sourceFrames": [0, 30],
+               "sourceTimestamps": [0.0, 1.0], **fields}
+    return {"schema": "kts-plan/1", "m": 1, "k": 2, "segments": [segment]}
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (read_segmentation, '{"schema": "kts-segmentation/1",', "not valid JSON"),
+        (read_truth, [{"schema": "kts-truth/1"}], "expected a JSON object at top level"),
+        (read_truth, {"schema": "kts-truth/1", "n": "10", "changePoints": [4], "seed": 0},
+         "field 'n' has the wrong type"),
+        (read_truth, {"schema": "kts-truth/1", "n": 10, "changePoints": [4.5], "seed": 0},
+         "field 'changePoints' must hold integers"),
+        (read_plan, {**plan_with_segment(), "segments": [[0, 2]]}, "segment entries must be objects"),
+        (read_plan, plan_with_segment(candidateRange=[0, 1, 2]), "candidateRange must have two entries"),
+        (read_plan, plan_with_segment(sourceTimestamps=["0", 1.0]), "sourceTimestamps must hold reals"),
+    ],
+    ids=["invalid JSON", "top-level array", "wrong type", "non-integer list", "segment not an object",
+         "three-entry candidate range", "string timestamp"],
+)
+def test_json_readers_name_the_file_for_malformed_documents(tmp_path, read, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(SchemaMismatchError, match=re.escape(f"{path}: {message}")):
+        read(path)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +461,23 @@ def test_read_boundaries_from_segmentation_or_truth(tmp_path):
     assert read_boundaries(truth_path) == (20, [4, 11])
     with pytest.raises(SchemaMismatchError, match="carries no boundaries"):
         read_boundaries(plan_path)
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"schema": "kts-segmentation/1", "n": 10, "m": 5, "changePoints": [3, 6], "objective": -1.0,
+          "penalty": 0.0, "penaltyWeight": 0.0, "kernel": "dot", "minSegmentLength": 4},
+         InvariantViolationError, "expected 4 change points for m=5, got 2"),
+        ({"schema": "kts-truth/1", "n": 10, "changePoints": [3, 6]}, SchemaMismatchError, "missing field 'seed'"),
+    ],
+    ids=["corrupt segmentation", "truth without seed"],
+)
+def test_read_boundaries_reads_each_document_with_its_own_reader(tmp_path, doc, error, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+        read_boundaries(path)
 
 
 @pytest.mark.parametrize("n, change_points", [(10, [0, 4]), (0, []), (10, [4, 10]), (10, [6, 6]), (10, [7, 3])])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import re
 import threading
 import tracemalloc
 from unittest import mock
@@ -19,6 +20,7 @@ from ktseg import (
     InvariantViolationError,
     KernelSpec,
     KtsError,
+    NonFiniteValueError,
     NonPositivePenaltyWeightError,
     PrecisionLossError,
     Segmentation,
@@ -138,6 +140,20 @@ def test_kernel_spec_validation():
     assert KernelSpec.from_tag("cosine").tag == "cosine"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: KernelSpec.from_tag("rbf:x"), "bad rbf bandwidth in kernel tag 'rbf:x'"),
+        (lambda: KernelSpec.from_tag("poly"), "unknown kernel tag 'poly'"),
+        (lambda: KernelSpec(kind="dot", bandwidth=1.0), "dot kernel takes no bandwidth"),
+    ],
+    ids=["rbf bandwidth not a number", "unknown tag", "bandwidth on dot"],
+)
+def test_kernel_spec_refusals(make, message):
+    with pytest.raises(InvariantViolationError, match=re.escape(message)):
+        make()
+
+
 def test_feature_sequence_validation():
     with pytest.raises(InvariantViolationError):
         FeatureSequence(values=[[1.0, float("nan")]])
@@ -145,6 +161,14 @@ def test_feature_sequence_validation():
         FeatureSequence(values=np.empty((0, 3)))
     feats = FeatureSequence(values=[[1.0], [2.0]])
     assert feats.n == 2 and feats.d == 1
+
+
+def test_feature_sequence_names_the_first_non_finite_value():
+    with pytest.raises(NonFiniteValueError, match="non-finite value at row 2, column 2") as info:
+        FeatureSequence(values=[[1.0, 2.0], [3.0, float("nan")]])
+    assert isinstance(info.value, InvariantViolationError)
+    with pytest.raises(NonFiniteValueError, match="row 1, column 3"):  # row-major: row 1 before row 2
+        FeatureSequence(values=[[1.0, 2.0, float("inf")], [float("-inf"), 5.0, 6.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +741,20 @@ def test_solve_fixed_infeasible():
         solve_fixed(table, 0)
     with pytest.raises(InfeasibleSegmentCountError):
         solve_fixed(table, 3, min_segment_length=2)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s: solve_fixed(s, 2, min_segment_length=0),
+        lambda s: solve_range(s, [1, 2], min_segment_length=0),
+        lambda s: solve_auto(s, 4, min_segment_length=0),
+    ],
+    ids=["solve_fixed", "solve_range", "solve_auto"],
+)
+def test_solvers_refuse_a_zero_minimum_segment_length(solve):
+    with pytest.raises(InfeasibleSegmentCountError, match="minimum segment length must be >= 1, got 0"):
+        solve(compute_gram(FeatureSequence(values=TWO_BLOCKS)))
 
 
 def test_solve_fixed_min_segment_length():
