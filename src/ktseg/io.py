@@ -219,9 +219,9 @@ def _read_features_csv_tokens(path: Path) -> list[list[float]]:
             try:
                 value = float(token)
             except ValueError:
-                hint = (  # an empty field is a trailing comma, not a header
+                hint = (  # a header is the first non-blank row; an empty field is a trailing comma
                     "; feature CSV is headerless, remove the header row"
-                    if lineno == 1 and token
+                    if not rows and token
                     else ""
                 )
                 raise MalformedHeaderError(

@@ -26,8 +26,11 @@ The DP takes O(m*n^2) time in the worst case. It skips segment starts
 that can no longer win (inequality pruning, as in SNIP): the kernel
 scatter is superadditive, var(t, e') >= var(t, e) + var(e, e') for
 t < e < e', so once start t at end e costs more than start e does, start e
-beats t at every later end. Pruning never changes the optimum or its
-leftmost tie-breaks. DP rows are kept only for counts with a choice: a
+beats t at every later end. ``solve_auto`` also stops DP rows whose cells
+all exceed the criterion total of a feasible split (branch and bound), and
+its blocks then form kernel columns only from the lowest start a running
+row still reads. Neither changes the optimum or its leftmost tie-breaks.
+DP rows are kept only for counts with a choice: a
 requested count m with m*min_len = n has one placement, every segment
 min_len long, so its windows are read off the solve's block pass and summed
 in the DP's order instead. Rows that would take more than half the
@@ -40,7 +43,7 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import (
@@ -70,6 +73,14 @@ DEFAULT_CANDIDATE_CAP = 4096
 #: but each DP row also evaluates the infeasible corner past every block's
 #: diagonal, n*ends/2 cells in all; narrower ones cost more numpy calls.
 _BLOCK_ENDS = 128
+
+#: A block's kernel columns are formed in tiles of this many columns on a fixed
+#: grid, the last tile of a block taking the remainder, and a block that starts
+#: late starts at a tile edge. It then makes the very matmuls the full pass makes,
+#: so its entries keep their bits on any BLAS. Tiles this wide round like one
+#: full-width matmul on OpenBLAS 0.3.31 (measured; 128-wide ones do not), so
+#: tiling left every scatter as it was. Fixed, and at least ``_BLOCK_ENDS``.
+_TILE = 256
 
 #: Raw scatters below this mean cancellation has destroyed their precision.
 _PRECISION_FLOOR = -1e-9
@@ -171,16 +182,18 @@ class GramMatrix:
         """Sum of the kernel diagonal, the scale of every scatter."""
         return float(_kernel_diagonal(self.rows, self.kernel).sum())
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self, start: Callable[[], int] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
         """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices; see :func:`_scatter_blocks`.
 
-        Yields (e0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t] is the scatter of
-        window [t, e0 + j) for t < e0 + j, with one column per start index
-        t < e1 - 1 (e1 = e0 + len(v)); entries with t >= e0 + j are unspecified.
-        v is a scratch buffer the caller may overwrite; it is reused by a later
-        block.
+        Yields (e0, c0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t - c0] is the
+        scatter of window [t, e0 + j) for c0 <= t < e0 + j, with one column per
+        start index c0 <= t < e1 - 1 (e1 = e0 + len(v)); entries with
+        t >= e0 + j are unspecified. c0 is 0 unless ``start`` is given: then it
+        is at most ``start()``, the lowest start the caller will still read.
+        ``start()`` must never decrease, and may be read a block late. v is a
+        scratch buffer the caller may overwrite; it is reused by a later block.
         """
-        blocks = _scatter_blocks(self)
+        blocks = _scatter_blocks(self, start)
         # Under four blocks, a worker thread costs more than its overlap saves.
         return _prefetched(blocks) if self.n >= 4 * _BLOCK_ENDS else blocks
 
@@ -210,13 +223,18 @@ class VarianceTable(GramMatrix):
         return float(self.var_matrix[a, b])
 
 
-def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
+def _scatter_blocks(
+    gram: GramMatrix, start: Callable[[], int] | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """The one scatter arithmetic, computed in place in reused buffers.
 
     Yields the blocks of :meth:`GramMatrix.blocks` for ``gram``. One matmul per
-    block forms the kernel column of each end e = e0 + j, K(e-1, s) for s < cols,
-    and turns it into squared kernel distances d2(s, e-1); only s < e-1 is read.
-    Running pair sums follow
+    tile forms the kernel column of each end e = e0 + j, K(e-1, s) for
+    c0 <= s < cols, and turns it into squared kernel distances d2(s, e-1);
+    only s < e-1 is read. c0 is ``start()`` (0 without it), read once per
+    block, capped at the block's last tile edge and rounded down to a tile
+    edge, so it never decreases and running sums below it are never read
+    again. Running pair sums follow
 
         P(t, e) = P(t, e-1) + sum_{t <= s < e-1} d2(s, e-1),
         d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
@@ -225,7 +243,7 @@ def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
     the window's own rows only. Entries with t >= e-1 come out exactly 0.
     Blocks alternate between two buffers, so a consumer may hold (and
     overwrite) block b while block b + 1 is computed. Raises PrecisionLossError
-    when a raw scatter falls below -1e-9.
+    when a raw scatter the block forms falls below -1e-9.
     """
     x, kernel = gram.rows, gram.kernel
     diag = _kernel_diagonal(x, kernel)
@@ -237,21 +255,24 @@ def _scatter_blocks(gram: GramMatrix) -> Iterator[tuple[int, np.ndarray]]:
     bufs = np.empty(w_max * n), np.empty(w_max * n)
     for b, e0 in enumerate(range(1, n + 1, _BLOCK_ENDS)):
         w, cols = min(_BLOCK_ENDS, n + 1 - e0), min(e0 + _BLOCK_ENDS, n + 1) - 1
-        k = bufs[b % 2][: w * cols].reshape(w, cols)
-        _kernel_values(x[e0 - 1 : cols], x[:cols], kernel, out=k)
+        c0 = max(min(start(), cols - _TILE), 0) // _TILE * _TILE if start else 0
+        k = bufs[b % 2][: w * (cols - c0)].reshape(w, cols - c0)
+        edges = [*range(c0, max(cols - _TILE, c0) + 1, _TILE), cols]  # the last tile takes the rest
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            _kernel_values(x[e0 - 1 : cols], x[s0:s1], kernel, out=k[:, s0 - c0 : s1 - c0])
         k *= -2.0
-        k += diag[:cols]
-        k += diag[e0 - 1 : cols, None]  # k[j, s] = d2(s, e-1) for e = e0 + j
-        np.copyto(k[:, e0 - 1 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
+        k += diag[c0:cols]
+        k += diag[e0 - 1 : cols, None]  # k[j, s - c0] = d2(s, e-1) for e = e0 + j
+        np.copyto(k[:, e0 - 1 - c0 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
         np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new pairs
-        k[0] += pairs[:cols]
+        k[0] += pairs[c0:cols]
         for j in range(1, w):
-            k[j] += k[j - 1]  # k[j, t] = P(t, e0 + j)
-        pairs[:cols] = k[-1]
-        k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols : n + w - 1], cols)[::-1]
+            k[j] += k[j - 1]  # k[j, t - c0] = P(t, e0 + j)
+        pairs[c0:cols] = k[-1]
+        k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols + c0 : n + w - 1], cols - c0)[::-1]
         _check_precision(k)
         np.maximum(k, 0.0, out=k)
-        yield e0, k
+        yield e0, c0, k
 
 
 class _WindowGather:
@@ -272,13 +293,19 @@ class _WindowGather:
     def trace(self) -> float:
         return self.source.trace
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self, start: Callable[[], int] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
         a, b, order = self._a, self._b, np.argsort(self._b)
-        with closing(self.source.blocks()) as blocks:  # closing joins a worker
-            for e0, v in blocks:
-                i = order[slice(*np.searchsorted(b, (e0, e0 + len(v)), sorter=order))]
-                self.scatters[i] = v[b[i] - e0, a[i]]
-                yield e0, v
+        # unread[r]: the lowest start of the windows left once the r with the lowest ends are read
+        unread = [*np.minimum.accumulate(a[order][::-1])[::-1].tolist(), self.n]
+        read = 0
+        # Both bounds only grow, so a worker that reads them between updates gets a lower one.
+        lowest = (lambda: min(start(), unread[read])) if start else None
+        with closing(self.source.blocks(lowest)) as blocks:  # closing joins a worker
+            for e0, c0, v in blocks:
+                first, read = np.searchsorted(b, (e0, e0 + len(v)), sorter=order)
+                i = order[first:read]
+                self.scatters[i] = v[b[i] - e0, a[i] - c0]
+                yield e0, c0, v
 
 
 def _prefetched(items: Iterator) -> Iterator:
@@ -412,7 +439,7 @@ def compute_gram(
     if norms is not None:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0]} is all zero")
+            raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0] + 1} is all zero")
         x = x / norms[:, None]
     x.setflags(write=False)
     return GramMatrix(rows=x, kernel=kernel)
@@ -429,7 +456,7 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     n = gram.n
     var_matrix = np.zeros((n + 1, n + 1))
     # No worker thread: a block copy is too light a consumer for a prefetch to pay.
-    for e0, raw in _scatter_blocks(gram):
+    for e0, _, raw in _scatter_blocks(gram):
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
     return VarianceTable(rows=gram.rows, kernel=gram.kernel, var_matrix=var_matrix)
@@ -439,6 +466,30 @@ def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> f
     """Total scatter of an explicit placement, summed as the DP sums it (see :func:`_dp_sum`)."""
     bounds = (0, *change_points, table.n)
     return _dp_sum(table.var(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _equal_split_total(gram: GramMatrix, m: int) -> float:
+    """An upper bound on the total scatter of the split at floor(k*n/m), k = 1..m-1, off the rows.
+
+    For dot and cosine it is the total itself: each window's scatter is its
+    rows' squared distances to their mean, O(n*d) in all. For rbf a window
+    of at most ``_BLOCK_ENDS`` rows takes L less its kernel mass over L,
+    O(n*_BLOCK_ENDS*d) in all; a longer one takes a bound in O(L*d): each
+    pair's d2 = 2 - 2*exp(-u) is at most 2 and at most 2u, its squared
+    distance over bw^2. Either rounds within the block arithmetic's bound of
+    exact, not to its bits.
+    """
+    x, n, kernel = gram.rows, gram.n, gram.kernel
+    total = 0.0
+    for a, b in zip([k * n // m for k in range(m)], [k * n // m for k in range(1, m + 1)]):
+        w = x[a:b]
+        if kernel.kind == "rbf" and b - a <= _BLOCK_ENDS:
+            total += (b - a) - float(_kernel_values(w, w, kernel).sum()) / (b - a)
+            continue
+        dev = w - w.mean(axis=0)
+        scatter = float(np.einsum("ij,ij->", dev, dev))
+        total += min(b - a - 1.0, scatter / kernel.bandwidth**2) if kernel.kind == "rbf" else scatter
+    return total
 
 
 def _dp_sum(scatters: Iterable[float]) -> float:
@@ -477,7 +528,9 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _solve_rows(table: GramMatrix, ms: Sequence[int], min_len: int):
+def _solve_rows(
+    table: GramMatrix, ms: Sequence[int], min_len: int, ceilings: Sequence[float] | None = None
+):
     """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
 
     cost[i][e] is the optimal scatter of splitting [0, e) into i segments of
@@ -506,6 +559,14 @@ def _solve_rows(table: GramMatrix, ms: Sequence[int], min_len: int):
     bounds equals that of the unpruned sweep bit for bit. O(m*n^2) time in
     the worst case.
 
+    With ``ceilings``, row i stops at the first end e with
+    cost[i][e] > ceilings[i] once row i - 1 has stopped at or before
+    e - min_len + 1 (row 1: once e >= min_len): every start row i can still
+    take is then in the window of e, and var(t, e) only grows with e, so
+    every later cell exceeds the ceiling too, up to rounding. Its cells from
+    e on are left at inf. Once row 1 has stopped, blocks start at the
+    lowest lo[i] of a running row.
+
     The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
     (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,
     m*min_len = n (see :func:`_solve_counts`), so the sweep's rows stop at
@@ -526,50 +587,80 @@ def _solve_rows(table: GramMatrix, ms: Sequence[int], min_len: int):
     hi = [n + 1] * (m_max + 1)  # hi[i]: one past the last end row i fills
     for i in range(m_max - 1, 1, -1):
         hi[i] = n + 1 if i in ms else hi[i + 1] - min_len
-    # The margin bounds rounding. Superadditivity holds for exact scatters;
-    # each one the shared block arithmetic yields is within r =
-    # (4n + d + 4)*eps*trace of exact. A window of L frames sums each of its
-    # pairs' d2(s, s') once, through at most 2n additions (the suffix sums,
-    # then the running sum over ends); |d2(s, s')| <= 2*(K(s,s) + K(s',s')),
-    # so its terms total at most 2*(L-1)*trace, and forming one rounds by
-    # about (d+4)*eps*(K(s,s) + K(s',s')). Dividing by L leaves r. Costs and
-    # scatters stay below 2*trace, so each of the three additions behind one
-    # comparison rounds by at most 2*eps*trace. 3r plus those roundings,
-    # (12n + 3d + 18)*eps*trace, stays below the margin for every d <= 4*n^2.
-    margin = 16 * (n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
+    # halt[i]: the end at which row i stopped, n + 1 while it runs. Row 0 holds
+    # start 0 alone, so for row 1 it counts as stopped at 1.
+    halt = [1] + [n + 1] * m_max
+    live = 0  # the lowest start a running row reads: the blocks' start bound
+
+    def stops(i: int, lo_e: int, hi_e: int) -> bool:
+        """Stop row i at the first of its ends lo_e..hi_e - 1 that the ceiling rule allows, if any."""
+        first = max(lo_e, halt[i - 1] + min_len - 1)
+        if first >= hi_e:
+            return False
+        over = np.flatnonzero(cost[i, first:hi_e] > ceilings[i])
+        if over.size:
+            halt[i] = first + int(over[0])
+            cost[i, halt[i] : hi_e] = np.inf
+        return bool(over.size)
+
+    margin = _rounding_margin(table)
     cand = np.empty(min(_BLOCK_ENDS, n) * n)  # the add/argmin pair of one block and row
     # Closing the source on any exit stops and joins a GramMatrix's worker thread.
-    with closing(table.blocks()) as blocks:
-        for e0, var in blocks:
+    with closing(table.blocks(lambda: live)) as blocks:
+        for e0, c0, var in blocks:
             e1 = e0 + var.shape[0]
             stop = e1 - min_len  # feasible starts of the block's last end lie below
-            if stop <= 0:
-                continue
-            var = var[:, :stop]
+            if stop <= c0:
+                continue  # no running row has a start in this block
+            var = var[:, : stop - c0]
             t0 = e0 - min_len + 1  # row j takes no start t >= t0 + j: inf only in that corner
-            corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, 0) - t0 :]
-            np.copyto(var[:, max(t0, 0) :], np.inf, where=corner)
-            cost[1, e0:e1] = var[:, 0]
+            corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, c0) - t0 :]
+            np.copyto(var[:, max(t0, c0) - c0 :], np.inf, where=corner)
+            if halt[1] > n:  # so c0 == 0
+                cost[1, e0:e1] = var[:, 0]
+                if ceilings:
+                    stops(1, e0, e1)
             for i in range(2, m_max + 1):
                 lo_e, lo_t, hi_e = max(e0, i * min_len), lo[i], min(e1, hi[i])
                 if lo_e >= e1:
                     break
-                if lo_e >= hi_e:
-                    continue  # row i is complete; a later row of the same count may not be
-                v = var[lo_e - e0 : hi_e - e0, lo_t : hi_e - min_len]
+                if lo_e >= hi_e or halt[i] <= n:
+                    continue  # row i is complete or stopped; a later row may not be
+                v = var[lo_e - e0 : hi_e - e0, lo_t - c0 : hi_e - min_len - c0]
                 c = cand[: v.size].reshape(v.shape)
                 np.add(cost[i - 1, lo_t : hi_e - min_len], v, out=c)
                 best = c.argmin(axis=1)
                 back[i, lo_e:hi_e] = best + lo_t
                 cost[i, lo_e:hi_e] = c[np.arange(len(best)), best]
-                if e1 < hi[i] and stop >= lo_e:
-                    # stop == e1 - min_len is the end e of the rule above.
+                if not (ceilings and stops(i, lo_e, hi_e)) and e1 < hi[i] and stop >= lo_e:
+                    # stop == e1 - min_len is the end e of the leading-run rule above.
                     beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
                     lo[i] += int(beaten.argmin()) if not beaten.all() else beaten.size
+            if halt[1] <= n:
+                live = min((lo[i] for i in range(2, m_max + 1) if halt[i] > n), default=live)
     return cost, back
 
 
-def _solve_counts(table: GramMatrix, ms: Iterable[int], min_len: int):
+def _rounding_margin(table: GramMatrix) -> float:
+    """16*(n+1)^2*eps*trace: a bound on the rounding behind one comparison of DP costs.
+
+    Superadditivity holds for exact scatters; each one the shared block
+    arithmetic yields is within r = (4n + d + 4)*eps*trace of exact. A window
+    of L frames sums each of its pairs' d2(s, s') once, through at most 2n
+    additions (the suffix sums, then the running sum over ends);
+    |d2(s, s')| <= 2*(K(s,s) + K(s',s')), so its terms total at most
+    2*(L-1)*trace, and forming one rounds by about (d+4)*eps*(K(s,s) + K(s',s')).
+    Dividing by L leaves r. Costs and scatters stay below 2*trace, so each of
+    the three additions behind one comparison rounds by at most 2*eps*trace.
+    3r plus those roundings, (12n + 3d + 18)*eps*trace, stays below the margin
+    for every d <= 4*n^2.
+    """
+    return 16 * (table.n + 1) ** 2 * np.finfo(np.float64).eps * table.trace
+
+
+def _solve_counts(
+    table: GramMatrix, ms: Iterable[int], min_len: int, ceilings: Sequence[float] | None = None
+):
     """J(m) for each segment count m of ``ms``, and its optimal segmentation, off one block pass.
 
     Returns (J, segmentation): J[m] equals cost[m, n] of :func:`_solve_rows` bit
@@ -579,6 +670,7 @@ def _solve_counts(table: GramMatrix, ms: Iterable[int], min_len: int):
     min_len long: its windows are read off the rows' block pass and summed in
     the DP's order (:func:`_dp_sum`). Asked alone, it still takes the block
     pass, so its scatters are checked for precision as any solve's are.
+    ``ceilings`` may stop DP rows early (see :func:`_solve_rows`).
     """
     n, ms = table.n, set(ms)
     # Feasible counts form 1..n // min_len, so the extremes check them all; none asked fails as 0.
@@ -590,7 +682,7 @@ def _solve_counts(table: GramMatrix, ms: Iterable[int], min_len: int):
         table = _WindowGather(table, [(t, t + min_len) for t in range(0, n, min_len)])
     J = {}
     if choice:
-        cost, back = _solve_rows(table, choice, min_len)
+        cost, back = _solve_rows(table, choice, min_len, ceilings)
         J = {m: float(cost[m, n]) for m in choice}
     else:
         for _ in table.blocks():
@@ -648,13 +740,28 @@ def solve_auto(
     that fit, is lowered to it, so one m_max serves inputs of any length.
     The returned objective excludes the penalty, which is reported
     separately.
+
+    Branch and bound: B, the criterion total of the equal-length split into
+    m_max segments (see :func:`_equal_split_total`) plus a rounding margin,
+    bounds the chosen total from above, so no cell of the chosen count's
+    optimal path has cost + penalty(i) above B. Rows stop once all their
+    later cells must (see :func:`_solve_rows`), so only losing counts may
+    come out inflated; the chosen m, change points and objective are the
+    full sweep's bit for bit. Every count keeps its row, as penalty(m) <= B.
     """
     if not (penalty_weight > 0) or not math.isfinite(penalty_weight):
         raise NonPositivePenaltyWeightError(f"penalty weight must be positive, got {penalty_weight}")
     n = table.n
     _check_feasible(n, 1, min_segment_length)  # before the division by min_segment_length
     m_max = min(m_max, n // min_segment_length)
-    J, segmentation = _solve_counts(table, range(1, m_max + 1), min_segment_length)
+    # B covers the split's rounding against the DP's (its scatters, its m
+    # additions) and the slack of the ceiling rule (two scatters of one
+    # start, three additions) in units of the trace, 2*_rounding_margin;
+    # the relative term covers adding and subtracting penalties.
+    split = _equal_split_total(table, m_max) + segment_count_penalty(m_max, n, penalty_weight)
+    bound = split + 2 * _rounding_margin(table) + 8 * np.finfo(np.float64).eps * split
+    ceilings = [bound - segment_count_penalty(i, n, penalty_weight) for i in range(m_max + 1)]
+    J, segmentation = _solve_counts(table, range(1, m_max + 1), min_segment_length, ceilings)
     m = _choose_count([J[m] for m in range(1, m_max + 1)], n, penalty_weight)
     penalty = segment_count_penalty(m, n, penalty_weight)
     return segmentation(m, penalty=penalty, penalty_weight=penalty_weight)

@@ -192,6 +192,17 @@ def test_segment_kernel_flag(blocks_csv, tmp_path):
     assert bad.returncode == 2
 
 
+def test_segment_cosine_names_the_zero_row_from_one(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_text("1,2\n0,0\n3,4\n")
+    res = run_cli("segment", "--features", path, "--m", 1, "--kernel", "cosine",
+                  "--out", tmp_path / "seg.json")
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "error: cosine kernel requires nonzero rows; row 2 is all zero"
+    ]
+
+
 def test_segment_rejects_rbf_bandwidth_whose_square_leaves_float64(tmp_path):
     path = tmp_path / "equal.csv"
     path.write_text("1,0\n1,0\n")

@@ -65,6 +65,13 @@ def test_csv_header_row_hint(tmp_path):
         read_features(path)
 
 
+def test_csv_header_after_a_blank_line_gets_the_hint(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("\nx,y\n1,0\n0,1\n")
+    with pytest.raises(MalformedHeaderError, match="'x' at row 2, column 1; feature CSV is headerless"):
+        read_features(path)
+
+
 def test_csv_trailing_comma_on_row_one_gets_no_header_hint(tmp_path):
     path = tmp_path / "feats.csv"
     path.write_text("1,2,\n3,4,\n")  # as spreadsheets export it

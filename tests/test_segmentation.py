@@ -98,7 +98,7 @@ def test_gram_duplicated_rows_block_structure():
 
 def test_gram_cosine_rejects_zero_rows():
     feats = FeatureSequence(values=[[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(ZeroNormRowError, match="row 1"):
+    with pytest.raises(ZeroNormRowError, match="row 2 is all zero"):
         compute_gram(feats, KernelSpec(kind="cosine"))
 
 
@@ -214,7 +214,7 @@ def stacked_stream_blocks(values, width):
     stream = compute_gram(FeatureSequence(values=values))
     var = np.zeros((stream.n + 1, stream.n + 1))
     with mock.patch.object(segmentation, "_BLOCK_ENDS", width):
-        for e0, v in stream.blocks():
+        for e0, _, v in stream.blocks():
             var[: e0 + len(v) - 1, e0 : e0 + len(v)] = v.T
     return var
 
@@ -331,7 +331,7 @@ def test_table_writes_down_every_streamed_window_bit_for_bit(seed, kernel, block
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         table = build_variance_table(gram)
         streamed = np.zeros((n + 1, n + 1))
-        for e0, v in gram.blocks():
+        for e0, _, v in gram.blocks():
             for j, row in enumerate(v):  # only windows [t, e0 + j) with t < e0 + j are specified
                 streamed[: e0 + j, e0 + j] = row[: e0 + j]
     assert table.var_matrix.tobytes() == streamed.tobytes()
@@ -352,7 +352,7 @@ def full_square_rows(source, m_max, min_len):
     """Reference DP: every start at every end, over the source's own blocks."""
     n = source.n
     var = np.full((n + 1, n + 1), np.inf)  # var[t, e]; inf where t > e - min_len
-    for e0, v in source.blocks():
+    for e0, _, v in source.blocks():
         for j, row in enumerate(v):
             k = max(e0 + j - min_len + 1, 0)
             var[:k, e0 + j] = row[:k]
@@ -443,7 +443,7 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, bl
     count = 0
     unfused = unfused_scatter_blocks(diag, block_ends, kernel_columns)
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
-        for (e0, got), (want_e0, want) in zip(gram.blocks(), unfused):
+        for (e0, _, got), (want_e0, want) in zip(gram.blocks(), unfused):
             assert e0 == want_e0 and got.shape == want.shape
             for j in range(len(got)):  # only windows [t, e0 + j) with t < e0 + j are specified
                 assert np.array_equal(got[j, : e0 + j], want[j, : e0 + j])
@@ -471,6 +471,30 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_e
         gather = segmentation._WindowGather(gram, windows)
         for _ in gather.blocks():
             pass
+    assert gather.scatters.tobytes() == want.tobytes()
+
+
+def test_window_gather_caps_the_start_at_its_lowest_unread_window():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(42).standard_normal((768, 3))))
+    windows = [(0, 5), (520, 700), (300, 500), (600, 768), (530, 690)]
+    table = build_variance_table(gram)
+    starts, scatter_blocks = [], segmentation._scatter_blocks
+
+    def recording(*args):
+        for e0, c0, v in scatter_blocks(*args):
+            starts.append(c0)
+            yield e0, c0, v
+
+    gather = segmentation._WindowGather(gram, windows)
+    # Three blocks of 256 ends, under the four that start a worker, so each start is read in time.
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", 256):
+        with mock.patch.object(segmentation, "_scatter_blocks", recording):
+            for _ in gather.blocks(lambda: 10**9):  # a consumer that reads no start itself
+                pass
+    # The lowest start of a window not yet read (0, then 300, then 520), capped at the block's
+    # last tile edge (0, 256, 512) and rounded down to a tile edge.
+    assert starts == [0, 256, 512], starts
+    want = np.array([table.var_matrix[a, b] for a, b in windows])
     assert gather.scatters.tobytes() == want.tobytes()
 
 
@@ -541,7 +565,7 @@ def test_precision_loss_in_a_later_block_surfaces_unchanged(solve):
     passed = []
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with pytest.raises(PrecisionLossError):
-            for e0, _ in stream.blocks():
+            for e0, _, _ in stream.blocks():
                 passed.append(e0)
         assert len(passed) == 5  # blocks of ends up to 20 are fine; the error comes from a later one
         with pytest.raises(PrecisionLossError):
@@ -640,11 +664,33 @@ def test_worker_starts_at_four_full_blocks(n, workers):
     assert [name.startswith("ktseg-scatter") for name in started] == [True] * workers
 
 
+@pytest.mark.parametrize("d", [8, 256])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec(kind="rbf", bandwidth=4.0)])
+@pytest.mark.parametrize("n, schedule, want_starts", [
+    # Each block's start: the one asked, capped at its last tile edge, rounded down to a tile edge.
+    (768, [256] * 6, [0, 0, 0, 256, 256, 256]),
+    (768, [0, 0, 256, 300, 600, 768], [0, 0, 0, 256, 256, 512]),
+    # A last block shorter than the rest.
+    (700, [0, 0, 256, 300, 600, 690], [0, 0, 0, 256, 256, 256]),
+])
+def test_start_bounded_blocks_equal_the_full_pass_bit_for_bit(d, kernel, n, schedule, want_starts):
+    # A late start at a tile edge makes the very matmuls of the full pass, so this holds
+    # on any BLAS. Narrower matmuls at any column, aligned or not, need not.
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(d).standard_normal((n, d))), kernel)
+    full = [(e0, v.copy()) for e0, _, v in segmentation._scatter_blocks(gram)]
+    calls = iter(schedule)
+    got = [(e0, c0, v.copy()) for e0, c0, v in segmentation._scatter_blocks(gram, lambda: next(calls))]
+    assert [c0 for _, c0, _ in got] == want_starts
+    assert [e0 for e0, _, _ in got] == [e0 for e0, _ in full]
+    for (e0, c0, v), (_, want) in zip(got, full):
+        assert v.tobytes() == np.ascontiguousarray(want[:, c0:]).tobytes(), e0
+
+
 def test_scatter_blocks_start_no_thread():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
         with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
-            ends = [e0 for e0, _ in segmentation._scatter_blocks(gram)]
+            ends = [e0 for e0, _, _ in segmentation._scatter_blocks(gram)]
     assert ends == list(range(1, 41, 4))
 
 
@@ -654,16 +700,16 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
     scatter_blocks = segmentation._scatter_blocks
 
     def recording(*args):
-        for e0, raw in scatter_blocks(*args):
+        for e0, c0, raw in scatter_blocks(*args):
             produced[e0] = raw.copy()
             finished[e0].set()  # block e0 is written; the worker yields it next
-            yield e0, raw
+            yield e0, c0, raw
 
     seen = []
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "_scatter_blocks", recording):
             blocks = stream.blocks()
-        for e0, held in blocks:
+        for e0, _, held in blocks:
             if e0 + 4 in finished:
                 assert finished[e0 + 4].wait(10), "the worker did not compute the next block"
             assert np.array_equal(held, produced[e0])
@@ -848,28 +894,80 @@ def test_solve_auto_clamps_m_max_to_what_fits():
     min_len=st.integers(1, 3),
     weight=st.sampled_from([1e-3, 0.5, 1.0, 4.0]),
     zero_penalty=st.booleans(),
+    # One DP step per few ends, or one block at small n; starts fall on 256-column tile edges.
+    block_ends=st.sampled_from([3, 7, 128]),
+    # Long inputs, with more planted segments, let the lowest live start pass a tile edge.
+    long=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
-def test_solve_auto_is_first_minimiser_over_solve_range(seed, shape, kernel, min_len, weight, zero_penalty):
-    # A zero penalty on constant features ties every m; the smallest must win.
+@settings(max_examples=150, deadline=None)
+def test_solve_auto_is_first_minimiser_over_solve_range(
+    seed, shape, kernel, min_len, weight, zero_penalty, block_ends, long
+):
+    # solve_auto stops DP rows and narrows blocks; solve_range does neither. A zero
+    # penalty on constant features ties every m; the smallest must win.
     rng = np.random.default_rng(seed)
-    n, d = int(rng.integers(min_len, 40)), int(rng.integers(1, 4))
+    n, d = int(rng.integers(min_len, 1200 if long else 40)), int(rng.integers(1, 4))
     if shape == "constant":
         values = np.full((n, d), rng.normal())
     else:
         values = rng.normal(scale=0.5 if shape == "noise" else 0.1, size=(n, d))
         if shape == "planted":
-            values += rng.normal(scale=3.0, size=(5, d))[np.sort(rng.integers(0, 5, n))]
+            k = int(rng.integers(5, 30)) if long else 5
+            values += rng.normal(scale=3.0, size=(k, d))[np.sort(rng.integers(0, k, n))]
     source = compute_gram(FeatureSequence(values=values), kernel)
-    m_max = int(rng.integers(1, n + 3))
+    m_max = int(rng.integers(1, (24 if long else n) + 3))
     penalty = (lambda m, n, weight: 0.0) if zero_penalty else segment_count_penalty
-    with mock.patch.object(segmentation, "segment_count_penalty", penalty):
-        auto = solve_auto(source, m_max, weight, min_len)
-    curve = solve_range(source, range(1, min(m_max, n // min_len) + 1), min_len)
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
+        with mock.patch.object(segmentation, "segment_count_penalty", penalty):
+            auto = solve_auto(source, m_max, weight, min_len)
+        curve = solve_range(source, range(1, min(m_max, n // min_len) + 1), min_len)
     totals = [seg.objective + penalty(seg.m, n, weight) for seg in curve]
     best = curve[totals.index(min(totals))]
-    assert (auto.m, auto.change_points, auto.objective) == (best.m, best.change_points, best.objective)
+    assert (auto.m, auto.change_points, auto.objective.hex()) == (
+        best.m, best.change_points, best.objective.hex()
+    )
     assert (auto.penalty, auto.penalty_weight) == (penalty(best.m, n, weight), weight)
+
+
+def planted_steps(n, d, segments, seed):
+    """n x d rows in ``segments`` equal runs around far-apart means, with small noise."""
+    rng = np.random.default_rng(seed)
+    means = 10.0 * rng.standard_normal((segments, d))
+    return means[np.arange(n) * segments // n] + 0.01 * rng.standard_normal((n, d))
+
+
+def test_solve_auto_stops_rows_and_starts_late_blocks_above_column_0():
+    n = 1000
+    gram = compute_gram(FeatureSequence(values=planted_steps(n, 4, 10, 41)))
+    starts, rows = [], []
+    scatter_blocks, solve_rows = segmentation._scatter_blocks, segmentation._solve_rows
+
+    def recording(*args):
+        for e0, c0, v in scatter_blocks(*args):
+            starts.append(c0)
+            yield e0, c0, v
+
+    def capturing(*args):
+        cost, back = solve_rows(*args)
+        rows.append(cost.copy())
+        return cost, back
+
+    with mock.patch.object(segmentation, "_scatter_blocks", recording):
+        with mock.patch.object(segmentation, "_solve_rows", capturing):
+            auto = solve_auto(gram, 16)
+    curve = solve_range(gram, range(1, 17))
+    totals = [seg.objective + segment_count_penalty(seg.m, n) for seg in curve]
+    best = curve[totals.index(min(totals))]
+    assert auto.m == 10 and auto.change_points == tuple(range(100, n, 100))
+    assert (auto.change_points, auto.objective.hex()) == (best.change_points, best.objective.hex())
+    # Rows 1..5 stop before the last end, so their counts come out at inf; every other
+    # count, the chosen one included, keeps its exact J bit for bit.
+    (cost,) = rows
+    stopped = [m for m in range(1, 17) if cost[m, n] != curve[m - 1].objective]
+    assert stopped == [1, 2, 3, 4, 5] and np.isinf(cost[stopped, n]).all()
+    # Blocks start above column 0 only once row 1 has stopped; the worker reads the start
+    # a block late, so which late block first starts at 256 depends on timing.
+    assert len(starts) == 8 and starts[0] == 0 and starts == sorted(starts) and starts[-1] == 256, starts
 
 
 def test_solve_auto_penalty_fields():
@@ -889,9 +987,9 @@ def recorded_rows(calls):
     """_solve_rows, recording the counts each call was asked for."""
     solve_rows = segmentation._solve_rows
 
-    def recorded(source, ms, min_len):
+    def recorded(source, ms, min_len, *ceilings):
         calls.append(sorted(ms))
-        return solve_rows(source, ms, min_len)
+        return solve_rows(source, ms, min_len, *ceilings)
 
     return mock.patch.object(segmentation, "_solve_rows", recorded)
 
