@@ -26,10 +26,11 @@ The DP takes O(m*n^2) time in the worst case. It skips segment starts
 that can no longer win (inequality pruning, as in SNIP): the kernel
 scatter is superadditive, var(t, e') >= var(t, e) + var(e, e') for
 t < e < e', so once start t at end e costs more than start e does, start e
-beats t at every later end. ``solve_auto`` also stops DP rows whose cells
-all exceed the criterion total of a feasible split (branch and bound), and
-its blocks then form kernel columns only from the lowest start a running
-row still reads. Neither changes the optimum or its leftmost tie-breaks.
+beats t at every later end. Every solve's blocks form kernel columns only
+from the lowest start that a row with ends left still reads, and
+``solve_auto`` also stops DP rows whose cells all exceed the criterion
+total of a feasible split (branch and bound). Neither changes the optimum
+or its leftmost tie-breaks.
 DP rows are kept only for counts with a choice: a
 requested count m with m*min_len = n has one placement, every segment
 min_len long, so its windows are read off the solve's block pass and summed
@@ -531,22 +532,26 @@ def _physical_memory() -> int | None:
 def _solve_rows(
     table: GramMatrix, ms: Sequence[int], min_len: int, ceilings: Sequence[float] | None = None
 ):
-    """Fill DP rows 1..max(ms) of best-cost prefixes plus argmin backpointers.
+    """Fill DP rows 0..max(ms) of best-cost prefixes plus argmin backpointers, off one block pass.
 
     cost[i][e] is the optimal scatter of splitting [0, e) into i segments of
     length >= min_len (inf when infeasible); back[i][e] the leftmost argmin
-    start of the last segment. One sweep over the source's blocks of end
-    indices e fills every row for the block before moving on: row i needs
+    start of the last segment. Row 0 is the empty split, cost[0][0] = 0. One
+    sweep over the source's blocks of end indices e takes every row i >= 1
+    through the same step for the block before moving on: one add of
+    cost[i-1][t] to var(t, e) and one argmin over the starts t. Row i needs
     row i-1 only at starts t <= e - min_len, which earlier blocks or this
-    block's previous row already hold. Each row touches only its feasible
-    cells, ends e >= i*min_len and starts lo[i] <= t <= e - min_len, and
-    only the ends that the requested counts ``ms`` can reach: row i >= 2
-    stops at e <= n - (m* - i)*min_len, where m* is the smallest requested
-    count >= i, since its m* - i remaining segments must fit after e. The
-    backtrack of a requested m reads row i at no later end, and row i+1
-    reads row i only at starts below its own bound less min_len, so cells
-    past the bound (left at inf and 0) are never read. Requesting every
-    count, as solve_auto does, leaves the bound at n.
+    block's previous row already hold.
+
+    Row i fills the ends i*min_len <= e < end[i] from the starts
+    lo[i] <= t <= e - min_len below end[i-1]: each row reads starts only
+    below the end of the row beneath it, and its costs from end[i] on are
+    left at inf. end[0] = 1, as row 0 holds start 0 alone. The requested
+    counts ``ms`` set the rest: end[i] = n + 1 for a requested i, else
+    end[i+1] - min_len, since the m* - i segments left to the smallest
+    requested count m* >= i must fit after e. The backtrack of a requested m
+    reads row i at no later end. Requesting every count, as solve_auto
+    does, leaves every end at n + 1.
 
     lo[i] starts at (i-1)*min_len and only grows. After each block whose
     next block still has ends of row i, row i compares its starts at end
@@ -559,13 +564,16 @@ def _solve_rows(
     bounds equals that of the unpruned sweep bit for bit. O(m*n^2) time in
     the worst case.
 
-    With ``ceilings``, row i stops at the first end e with
-    cost[i][e] > ceilings[i] once row i - 1 has stopped at or before
-    e - min_len + 1 (row 1: once e >= min_len): every start row i can still
-    take is then in the window of e, and var(t, e) only grows with e, so
-    every later cell exceeds the ceiling too, up to rounding. Its cells from
-    e on are left at inf. Once row 1 has stopped, blocks start at the
-    lowest lo[i] of a running row.
+    With ``ceilings``, the ceiling rule lowers end[i] to the first end
+    e >= end[i-1] + min_len - 1 with cost[i][e] > ceilings[i], and sets row
+    i's cells from e on to inf: every start row i reads is then in the
+    window of e, and var(t, e) only grows with e, so every later cell
+    exceeds the ceiling too, up to rounding.
+
+    Each block starts at the lowest lo[i] of a row with ends left, n once
+    no row has any: starts below it are never read again, so a late block
+    changes no cell. Its blocks are the full pass's bit for bit (see
+    :func:`_scatter_blocks`).
 
     The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
     (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,
@@ -573,7 +581,7 @@ def _solve_rows(
     n/2. Rows over half the machine's physical memory raise
     InstanceTooLargeError before any is allocated.
     """
-    n, m_max = table.n, max(ms)
+    n, m_max = table.n, max(ms, default=0)
     row_bytes, memory = (n + 1) * 12, _physical_memory()
     if memory is not None and (m_max + 1) * row_bytes > memory // 2:
         raise InstanceTooLargeError(
@@ -582,27 +590,13 @@ def _solve_rows(
             f"rows fit up to {max(memory // 2 // row_bytes - 1, 0)} segments"
         )
     cost = np.full((m_max + 1, n + 1), np.inf)
+    cost[0, 0] = 0.0
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
     lo = [(i - 1) * min_len for i in range(m_max + 1)]
-    hi = [n + 1] * (m_max + 1)  # hi[i]: one past the last end row i fills
-    for i in range(m_max - 1, 1, -1):
-        hi[i] = n + 1 if i in ms else hi[i + 1] - min_len
-    # halt[i]: the end at which row i stopped, n + 1 while it runs. Row 0 holds
-    # start 0 alone, so for row 1 it counts as stopped at 1.
-    halt = [1] + [n + 1] * m_max
-    live = 0  # the lowest start a running row reads: the blocks' start bound
-
-    def stops(i: int, lo_e: int, hi_e: int) -> bool:
-        """Stop row i at the first of its ends lo_e..hi_e - 1 that the ceiling rule allows, if any."""
-        first = max(lo_e, halt[i - 1] + min_len - 1)
-        if first >= hi_e:
-            return False
-        over = np.flatnonzero(cost[i, first:hi_e] > ceilings[i])
-        if over.size:
-            halt[i] = first + int(over[0])
-            cost[i, halt[i] : hi_e] = np.inf
-        return bool(over.size)
-
+    end = [1] + [n + 1] * m_max  # end[i]: one past the last end row i fills
+    for i in range(m_max - 1, 0, -1):
+        end[i] = n + 1 if i in ms else end[i + 1] - min_len
+    live = min(lo[1:], default=n)  # the blocks' start bound
     margin = _rounding_margin(table)
     cand = np.empty(min(_BLOCK_ENDS, n) * n)  # the add/argmin pair of one block and row
     # Closing the source on any exit stops and joins a GramMatrix's worker thread.
@@ -611,33 +605,35 @@ def _solve_rows(
             e1 = e0 + var.shape[0]
             stop = e1 - min_len  # feasible starts of the block's last end lie below
             if stop <= c0:
-                continue  # no running row has a start in this block
+                continue  # no row has a start in this block
             var = var[:, : stop - c0]
             t0 = e0 - min_len + 1  # row j takes no start t >= t0 + j: inf only in that corner
             corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, c0) - t0 :]
             np.copyto(var[:, max(t0, c0) - c0 :], np.inf, where=corner)
-            if halt[1] > n:  # so c0 == 0
-                cost[1, e0:e1] = var[:, 0]
-                if ceilings:
-                    stops(1, e0, e1)
-            for i in range(2, m_max + 1):
-                lo_e, lo_t, hi_e = max(e0, i * min_len), lo[i], min(e1, hi[i])
+            for i in range(1, m_max + 1):
+                lo_e, lo_t, hi_e = max(e0, i * min_len), lo[i], min(e1, end[i])
                 if lo_e >= e1:
                     break
-                if lo_e >= hi_e or halt[i] <= n:
-                    continue  # row i is complete or stopped; a later row may not be
-                v = var[lo_e - e0 : hi_e - e0, lo_t - c0 : hi_e - min_len - c0]
+                if lo_e >= hi_e:
+                    continue  # row i has ended; a later row may not have
+                hi_t = min(hi_e - min_len, end[i - 1])
+                v = var[lo_e - e0 : hi_e - e0, lo_t - c0 : hi_t - c0]
                 c = cand[: v.size].reshape(v.shape)
-                np.add(cost[i - 1, lo_t : hi_e - min_len], v, out=c)
+                np.add(cost[i - 1, lo_t:hi_t], v, out=c)
                 best = c.argmin(axis=1)
                 back[i, lo_e:hi_e] = best + lo_t
                 cost[i, lo_e:hi_e] = c[np.arange(len(best)), best]
-                if not (ceilings and stops(i, lo_e, hi_e)) and e1 < hi[i] and stop >= lo_e:
+                if ceilings:
+                    first = max(lo_e, end[i - 1] + min_len - 1)
+                    over = np.flatnonzero(cost[i, first:hi_e] > ceilings[i])
+                    if over.size:
+                        end[i] = first + int(over[0])
+                        cost[i, end[i] : hi_e] = np.inf
+                if e1 < end[i] and stop >= lo_e:
                     # stop == e1 - min_len is the end e of the leading-run rule above.
                     beaten = c[stop - lo_e, : stop - min_len - lo_t + 1] > cost[i - 1, stop] + margin
                     lo[i] += int(beaten.argmin()) if not beaten.all() else beaten.size
-            if halt[1] <= n:
-                live = min((lo[i] for i in range(2, m_max + 1) if halt[i] > n), default=live)
+            live = min((lo[i] for i in range(1, m_max + 1) if end[i] > e1), default=n)
     return cost, back
 
 
@@ -668,8 +664,8 @@ def _solve_counts(
     segments, read back from the rows. Only counts with a choice get DP rows. The
     forced count m = n / min_len, if requested, has one placement, every segment
     min_len long: its windows are read off the rows' block pass and summed in
-    the DP's order (:func:`_dp_sum`). Asked alone, it still takes the block
-    pass, so its scatters are checked for precision as any solve's are.
+    the DP's order (:func:`_dp_sum`). Asked alone, it takes the pass of row 0
+    alone, whose start bound is then its lowest unread window's.
     ``ceilings`` may stop DP rows early (see :func:`_solve_rows`).
     """
     n, ms = table.n, set(ms)
@@ -680,13 +676,8 @@ def _solve_counts(
     choice = ms - {forced}
     if forced:
         table = _WindowGather(table, [(t, t + min_len) for t in range(0, n, min_len)])
-    J = {}
-    if choice:
-        cost, back = _solve_rows(table, choice, min_len, ceilings)
-        J = {m: float(cost[m, n]) for m in choice}
-    else:
-        for _ in table.blocks():
-            pass
+    cost, back = _solve_rows(table, choice, min_len, ceilings)
+    J = {m: float(cost[m, n]) for m in choice}
     if forced:
         J[forced] = _dp_sum(table.scatters.tolist())
 

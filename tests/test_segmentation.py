@@ -358,8 +358,8 @@ def full_square_rows(source, m_max, min_len):
             var[:k, e0 + j] = row[:k]
     cost = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.int32)
-    cost[1] = var[0]
-    for i in range(2, m_max + 1):
+    cost[0, 0] = 0.0  # row 0: the empty split
+    for i in range(1, m_max + 1):
         for e in range(n + 1):
             cand = cost[i - 1] + var[:, e]
             back[i, e] = np.argmin(cand)
@@ -970,6 +970,47 @@ def test_solve_auto_stops_rows_and_starts_late_blocks_above_column_0():
     assert len(starts) == 8 and starts[0] == 0 and starts == sorted(starts) and starts[-1] == 256, starts
 
 
+def with_and_without_start_bound(solve):
+    """``solve()``, the start column of each block it read, and ``solve()`` on blocks pinned to column 0."""
+    starts, scatter_blocks = [], segmentation._scatter_blocks
+
+    def recording(gram, start=None):
+        for e0, c0, v in scatter_blocks(gram, start):
+            starts.append(c0)
+            yield e0, c0, v
+
+    with mock.patch.object(segmentation, "_scatter_blocks", recording):
+        bounded = solve()
+    with mock.patch.object(segmentation, "_scatter_blocks", lambda gram, start=None: scatter_blocks(gram)):
+        pinned = solve()
+    return bounded, starts, pinned
+
+
+# Every kernel and every block width meets every minimum length once.
+@pytest.mark.parametrize(
+    "kernel, block_ends, min_len",
+    [
+        pytest.param(kernel, block_ends, 1 + (k + b) % 3, id=f"{kernel.tag}-{block_ends}-{1 + (k + b) % 3}")
+        for k, kernel in enumerate([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)])
+        for b, block_ends in enumerate([3, 7, 128])
+    ],
+)
+def test_solve_range_and_the_forced_count_start_late_blocks_bit_for_bit(kernel, block_ends, min_len):
+    # The sweep's grid: rows below its smallest count end early, so once they have,
+    # blocks start at the lowest start a row with ends left still reads.
+    n = 1200
+    config = SynthConfig(n=n, d=8, segment_count=8, mean_separation=1.0, noise_sigma=0.1, seed=block_ends)
+    gram = compute_gram(generate(config).features, kernel)
+    grid = [n // div for div in cli.SWEEP_DIVISORS if n // div * min_len <= n]
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
+        for solve in (lambda: solve_range(gram, grid, min_len), lambda: [solve_fixed(gram, n // min_len, min_len)]):
+            bounded, starts, pinned = with_and_without_start_bound(solve)
+            assert starts == sorted(starts) and starts[-1] > 0, starts
+            assert [(s.m, s.change_points, s.objective.hex()) for s in bounded] == [
+                (s.m, s.change_points, s.objective.hex()) for s in pinned
+            ]
+
+
 def test_solve_auto_penalty_fields():
     rng = np.random.default_rng(23)
     table = table_for(rng.standard_normal((12, 2)))
@@ -1049,7 +1090,7 @@ def test_forced_count_alone_takes_one_block_pass_and_no_dp_row():
     table = build_variance_table(gram)
     with mock.patch.object(segmentation, "_scatter_blocks", counted), recorded_rows(calls):
         seg = solve_fixed(gram, 10, 3)
-    assert (len(passes), calls) == (1, [])
+    assert (len(passes), calls) == (1, [[]])  # one sweep, asked for no count: row 0 alone
     assert seg.change_points == (3, 6, 9, 12, 15, 18, 21, 24, 27)
     assert seg.objective == placement_objective(table, seg.change_points)
 
