@@ -111,11 +111,15 @@ def render_document(doc: dict) -> str:
 def _load_json(path: str | Path, *schemas: str) -> dict:
     """The JSON object in ``path``, whose ``schema`` tag must be one of ``schemas``."""
 
-    def reject(literal: str):  # json accepts NaN and the infinities; documents never carry them
-        raise SchemaMismatchError(f"{path}: {literal} is not a JSON number")
+    def reject(literal: str, beyond: str = ""):  # json reads NaN and the infinities; documents carry none
+        raise SchemaMismatchError(f"{path}: {literal} is not a JSON number{beyond}")
+
+    def finite(parse):  # nor numbers past float64, which json reads as inf or as an int no float holds
+        return lambda s: reject(s, " within float64 range") if math.isinf(float(s)) else parse(s)
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=reject, parse_float=finite(float), parse_int=finite(int))
     except UnicodeDecodeError:
         raise SchemaMismatchError(f"{path}: not UTF-8 text, so not a JSON document") from None
     except json.JSONDecodeError as exc:

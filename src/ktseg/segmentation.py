@@ -183,20 +183,19 @@ class GramMatrix:
         """Sum of the kernel diagonal, the scale of every scatter."""
         return float(_kernel_diagonal(self.rows, self.kernel).sum())
 
-    def blocks(self, start: Callable[[], int] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+    def blocks(self, start: Callable[[], int] = lambda: 0) -> Iterator[tuple[int, int, np.ndarray]]:
         """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices; see :func:`_scatter_blocks`.
 
         Yields (e0, c0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t - c0] is the
         scatter of window [t, e0 + j) for c0 <= t < e0 + j, with one column per
         start index c0 <= t < e1 - 1 (e1 = e0 + len(v)); entries with
-        t >= e0 + j are unspecified. c0 is 0 unless ``start`` is given: then it
-        is at most ``start()``, the lowest start the caller will still read.
-        ``start()`` must never decrease, and may be read a block late. v is a
-        scratch buffer the caller may overwrite; it is reused by a later block.
+        t >= e0 + j are unspecified. c0 is at most ``start()`` (0 by default),
+        the lowest start the caller will still read, which must never decrease;
+        it is read once before each block, on the calling thread. Only a solve's
+        prefetched pass (:func:`_solve_rows`) reads it on a worker, maybe a block
+        late. v is a scratch buffer the caller may overwrite, reused by a later block.
         """
-        blocks = _scatter_blocks(self, start)
-        # Under four blocks, a worker thread costs more than its overlap saves.
-        return _prefetched(blocks) if self.n >= 4 * _BLOCK_ENDS else blocks
+        return _scatter_blocks(self, start)
 
 
 @dataclass(frozen=True)
@@ -225,26 +224,27 @@ class VarianceTable(GramMatrix):
 
 
 def _scatter_blocks(
-    gram: GramMatrix, start: Callable[[], int] | None = None
+    gram: GramMatrix, start: Callable[[], int] = lambda: 0
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The one scatter arithmetic, computed in place in reused buffers.
 
     Yields the blocks of :meth:`GramMatrix.blocks` for ``gram``. One matmul per
     tile forms the kernel column of each end e = e0 + j, K(e-1, s) for
     c0 <= s < cols, and turns it into squared kernel distances d2(s, e-1);
-    only s < e-1 is read. c0 is ``start()`` (0 without it), read once per
-    block, capped at the block's last tile edge and rounded down to a tile
-    edge, so it never decreases and running sums below it are never read
-    again. Running pair sums follow
+    only s < e-1 is read. c0 is ``start()``, read once per block, capped at
+    the block's last tile edge and rounded down to a tile edge, so it never
+    decreases and running sums below it are never read again. Running pair
+    sums follow
 
         P(t, e) = P(t, e-1) + sum_{t <= s < e-1} d2(s, e-1),
         d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
 
     and the scatter of [t, e) is P(t, e) / (e - t), so its rounding depends on
     the window's own rows only. Entries with t >= e-1 come out exactly 0.
-    Blocks alternate between two buffers, so a consumer may hold (and
-    overwrite) block b while block b + 1 is computed. Raises PrecisionLossError
-    when a raw scatter the block forms falls below -1e-9.
+    Blocks alternate between two buffers, so a solve's prefetched pass (see
+    :func:`_solve_rows`) may hold (and overwrite) block b while its worker
+    computes block b + 1. Raises PrecisionLossError when a raw scatter the
+    block forms falls below -1e-9.
     """
     x, kernel = gram.rows, gram.kernel
     diag = _kernel_diagonal(x, kernel)
@@ -256,7 +256,7 @@ def _scatter_blocks(
     bufs = np.empty(w_max * n), np.empty(w_max * n)
     for b, e0 in enumerate(range(1, n + 1, _BLOCK_ENDS)):
         w, cols = min(_BLOCK_ENDS, n + 1 - e0), min(e0 + _BLOCK_ENDS, n + 1) - 1
-        c0 = max(min(start(), cols - _TILE), 0) // _TILE * _TILE if start else 0
+        c0 = max(min(start(), cols - _TILE), 0) // _TILE * _TILE
         k = bufs[b % 2][: w * (cols - c0)].reshape(w, cols - c0)
         edges = [*range(c0, max(cols - _TILE, c0) + 1, _TILE), cols]  # the last tile takes the rest
         for s0, s1 in zip(edges[:-1], edges[1:]):
@@ -294,19 +294,17 @@ class _WindowGather:
     def trace(self) -> float:
         return self.source.trace
 
-    def blocks(self, start: Callable[[], int] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+    def blocks(self, start: Callable[[], int] = lambda: 0) -> Iterator[tuple[int, int, np.ndarray]]:
         a, b, order = self._a, self._b, np.argsort(self._b)
         # unread[r]: the lowest start of the windows left once the r with the lowest ends are read
         unread = [*np.minimum.accumulate(a[order][::-1])[::-1].tolist(), self.n]
         read = 0
-        # Both bounds only grow, so a worker that reads them between updates gets a lower one.
-        lowest = (lambda: min(start(), unread[read])) if start else None
-        with closing(self.source.blocks(lowest)) as blocks:  # closing joins a worker
-            for e0, c0, v in blocks:
-                first, read = np.searchsorted(b, (e0, e0 + len(v)), sorter=order)
-                i = order[first:read]
-                self.scatters[i] = v[b[i] - e0, a[i] - c0]
-                yield e0, c0, v
+        # Both bounds only grow, so the start asked of the source never decreases.
+        for e0, c0, v in self.source.blocks(lambda: min(start(), unread[read])):
+            first, read = np.searchsorted(b, (e0, e0 + len(v)), sorter=order)
+            i = order[first:read]
+            self.scatters[i] = v[b[i] - e0, a[i] - c0]
+            yield e0, c0, v
 
 
 def _prefetched(items: Iterator) -> Iterator:
@@ -449,15 +447,14 @@ def compute_gram(
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
     """``gram`` with the clamped scatter of every window written down: the blocks the solvers consume.
 
-    Runs :func:`_scatter_blocks` on the calling thread at the solvers' block
+    Reads ``gram.blocks()`` on the calling thread at the solvers' block
     width, so every entry is bit-identical to the scatter a solver sees for
     that window. O(n^2) time; memory is the returned table plus two
     blocks. Raises PrecisionLossError when a raw scatter falls below -1e-9.
     """
     n = gram.n
     var_matrix = np.zeros((n + 1, n + 1))
-    # No worker thread: a block copy is too light a consumer for a prefetch to pay.
-    for e0, _, raw in _scatter_blocks(gram):
+    for e0, _, raw in gram.blocks():
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
     return VarianceTable(rows=gram.rows, kernel=gram.kernel, var_matrix=var_matrix)
@@ -573,7 +570,9 @@ def _solve_rows(
     Each block starts at the lowest lo[i] of a row with ends left, n once
     no row has any: starts below it are never read again, so a late block
     changes no cell. Its blocks are the full pass's bit for bit (see
-    :func:`_scatter_blocks`).
+    :func:`_scatter_blocks`). From four blocks on, a worker thread forms each
+    block one ahead (:func:`_prefetched`) and may read the bound a block
+    late; under four, the thread costs more than its overlap saves.
 
     The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
     (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,
@@ -599,8 +598,8 @@ def _solve_rows(
     live = min(lo[1:], default=n)  # the blocks' start bound
     margin = _rounding_margin(table)
     cand = np.empty(min(_BLOCK_ENDS, n) * n)  # the add/argmin pair of one block and row
-    # Closing the source on any exit stops and joins a GramMatrix's worker thread.
-    with closing(table.blocks(lambda: live)) as blocks:
+    blocks = table.blocks(lambda: live)
+    with closing(_prefetched(blocks) if n >= 4 * _BLOCK_ENDS else blocks) as blocks:
         for e0, c0, var in blocks:
             e1 = e0 + var.shape[0]
             stop = e1 - min_len  # feasible starts of the block's last end lie below

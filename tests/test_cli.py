@@ -353,8 +353,8 @@ def test_plan_overflowing_product_is_a_one_line_error(blocks_csv, tmp_path, flag
 
 
 @pytest.mark.parametrize(
-    "change_points, objective", [("[0]", "0"), ("[5]", "-1"), ("[5]", "1e400")],
-    ids=["empty-segment", "negative-objective", "overflowing-objective"],
+    "change_points, objective", [("[0]", "0"), ("[5]", "-1"), ("[5]", "1e400"), ("[5]", "9" * 400)],
+    ids=["empty-segment", "negative-objective", "overflowing-objective", "400-digit-objective"],
 )
 def test_plan_names_the_file_for_invariant_errors(tmp_path, change_points, objective):
     seg_path = tmp_path / "seg.json"

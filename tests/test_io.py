@@ -426,6 +426,10 @@ def infinite_objective(doc):
     doc["objective"] = math.inf
 
 
+def huge_timestamp(doc):
+    doc["segments"][1]["sourceTimestamps"][0] = 10**999
+
+
 @pytest.mark.parametrize(
     "read, write, edit, literal",
     [
@@ -436,8 +440,10 @@ def infinite_objective(doc):
             infinite_objective,
             "Infinity",
         ),
+        # json writes the integer 10**999 digit by digit; read as a float it would be inf.
+        (read_plan, lambda path: write_plan(make_plan(), path), huge_timestamp, str(10**999)),
     ],
-    ids=["plan NaN timestamp", "segmentation Infinity objective"],
+    ids=["plan NaN timestamp", "segmentation Infinity objective", "plan 1e999 timestamp"],
 )
 def test_json_readers_reject_non_finite_literals(tmp_path, read, write, edit, literal):
     path = tmp_path / "doc.json"

@@ -638,8 +638,7 @@ def test_gather_failure_mid_stream_joins_the_worker():
         with mock.patch.object(segmentation, "np", FailingCall("searchsorted", 3)):
             # The held traceback keeps the gatherer's frame, so only closing the pass stops the worker.
             with pytest.raises(RuntimeError, match="np.searchsorted failed") as raised:
-                for _ in segmentation._WindowGather(gram, [(0, 60)]).blocks():
-                    pass
+                solve_fixed(segmentation._WindowGather(gram, [(0, 60)]), 5)
     assert_workers_joined(baseline)
     assert raised.traceback
 
@@ -648,6 +647,19 @@ def test_single_block_solve_starts_no_thread():
     feats = FeatureSequence(values=np.random.default_rng(4).standard_normal((200, 3)))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
         assert solve_auto(compute_gram(feats), 8).m >= 1
+
+
+def test_block_readers_outside_a_solve_start_no_thread():
+    # Four full blocks, where a solve prefetches its pass: every other reader runs on the calling thread.
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(4).standard_normal((512, 2))))
+    gather = segmentation._WindowGather(gram, [(0, 512), (100, 300)])
+    with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
+        ends = [e0 for e0, _, _ in gram.blocks()]
+        for _ in gather.blocks():
+            pass
+        table = build_variance_table(gram)
+    assert ends == list(range(1, 513, 128))
+    assert gather.scatters.tolist() == [table.var(0, 512), table.var(100, 300)]
 
 
 @pytest.mark.parametrize("n, workers", [(511, 0), (512, 1)])
@@ -708,7 +720,7 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
     seen = []
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         with mock.patch.object(segmentation, "_scatter_blocks", recording):
-            blocks = stream.blocks()
+            blocks = segmentation._prefetched(stream.blocks())
         for e0, _, held in blocks:
             if e0 + 4 in finished:
                 assert finished[e0 + 4].wait(10), "the worker did not compute the next block"
