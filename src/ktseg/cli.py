@@ -22,7 +22,6 @@ from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
     KernelSpec,
     _check_candidates,
-    build_variance_table,
     compute_gram,
     solve_auto,
     solve_fixed,
@@ -112,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="turn a segmentation into an m x k frame schedule")
     plan.set_defaults(run=_cmd_plan)
     plan.add_argument("--segmentation", required=True)
-    plan.add_argument("--k", type=_positive_int, required=True, help="frames per segment")
+    plan.add_argument("--k", type=_positive_int, required=True,
+                      help="frames per segment, at most the video's source frames (duration * fps)")
     plan.add_argument("--duration", type=_positive_float, required=True, help="video length in seconds")
     plan.add_argument("--fps", type=_positive_float, required=True, help="source frame rate")
     plan.add_argument("--rate", type=_positive_float, required=True, help="candidates per second")
@@ -224,7 +224,7 @@ def _cmd_oracle_check(parser, args) -> int:
     _check_size(features.n)  # before the solves, which the oracle would then refuse
     gram = compute_gram(features, args.kernel, max_candidates=cap)
     dp = solve_fixed(gram, args.m, min_segment_length=args.min_seg_len)
-    bf = brute_force(build_variance_table(gram), args.m, min_segment_length=args.min_seg_len)
+    bf = brute_force(gram, args.m, min_segment_length=args.min_seg_len)
     same = dp.change_points == bf.change_points and abs(dp.objective - bf.objective) <= 1e-9
     if same:
         print(f"MATCH m={args.m} changePoints={list(dp.change_points)} objective={dp.objective:.17g}")

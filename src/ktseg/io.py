@@ -184,8 +184,9 @@ def _read_features_csv(path: Path) -> FeatureSequence:
 
     ``np.loadtxt`` rounds correctly, like ``float()``, so the two readers
     give the same bits wherever both accept the text. The token reader
-    runs when loadtxt refuses the text, finds no rows or meets a
-    non-finite value: it alone skips whitespace-only lines, accepts every
+    runs when loadtxt refuses the text or finds no rows, or when
+    ``FeatureSequence`` meets a non-finite value in what loadtxt read (the
+    one finiteness pass): it alone skips whitespace-only lines, accepts every
     ``float()`` literal (such as ``1_0``) and names the row and column of
     a bad value. Both read UTF-8 with an optional BOM.
     """
@@ -195,9 +196,12 @@ def _read_features_csv(path: Path) -> FeatureSequence:
             values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except ValueError:  # also UnicodeDecodeError, reported by the token reader
         values = None
-    if values is None or not values.size or not np.isfinite(values).all():
-        values = _read_features_csv_tokens(path)
-    return FeatureSequence(values=values)
+    if values is not None and values.size:
+        try:
+            return FeatureSequence(values=values)
+        except NonFiniteValueError:
+            pass
+    return FeatureSequence(values=_read_features_csv_tokens(path))
 
 
 def _read_features_csv_tokens(path: Path) -> list[list[float]]:
@@ -288,7 +292,10 @@ def write_segmentation(seg: Segmentation, path: str | Path, kernel: str = "dot")
 
 
 def read_segmentation(path: str | Path) -> Segmentation:
-    doc = _load_json(path, SEGMENTATION_SCHEMA)
+    return _segmentation_of(_load_json(path, SEGMENTATION_SCHEMA), path)
+
+
+def _segmentation_of(doc: dict, path: str | Path) -> Segmentation:
     try:
         return Segmentation(
             n=int(_require(doc, "n", int, path)),
@@ -376,7 +383,10 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     """The truth document in ``path``, its boundaries held to Segmentation's rules."""
-    doc = _load_json(path, TRUTH_SCHEMA)
+    return _truth_of(_load_json(path, TRUTH_SCHEMA), path)
+
+
+def _truth_of(doc: dict, path: str | Path) -> GroundTruth:
     n, change_points = int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
     try:
         Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
@@ -387,6 +397,6 @@ def read_truth(path: str | Path) -> GroundTruth:
 
 def read_boundaries(path: str | Path) -> tuple[int, list[int]]:
     """Candidate count n and boundary list of a segmentation or ground-truth document, read in full."""
-    schema = _load_json(path, SEGMENTATION_SCHEMA, TRUTH_SCHEMA)["schema"]
-    boundaries = read_segmentation(path) if schema == SEGMENTATION_SCHEMA else read_truth(path)
+    doc = _load_json(path, SEGMENTATION_SCHEMA, TRUTH_SCHEMA)
+    boundaries = (_segmentation_of if doc["schema"] == SEGMENTATION_SCHEMA else _truth_of)(doc, path)
     return boundaries.n, list(boundaries.change_points)

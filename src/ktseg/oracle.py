@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InstanceTooLargeError
-from .segmentation import Segmentation, VarianceTable, _check_feasible, placement_objective
+from .segmentation import GramMatrix, Segmentation, _check_feasible, _dp_sum, _WindowGather
 
 #: Enumeration walks C(n-1, m-1) placements; refuse anything bigger.
 BRUTE_FORCE_MAX_N = 16
@@ -18,23 +18,28 @@ def _check_size(n: int) -> None:
         )
 
 
-def brute_force(table: VarianceTable, m: int, min_segment_length: int = 1) -> Segmentation:
+def brute_force(source: GramMatrix, m: int, min_segment_length: int = 1) -> Segmentation:
     """Globally optimal segmentation by enumerating every placement.
 
-    Placements are visited in lexicographic order and only strict
-    improvements are kept, so ties resolve to the lexicographically
-    smallest change-point vector.
+    Each placement sums its windows' scatters, read off one pass of ``source``'s blocks,
+    as the DP sums them (:func:`_dp_sum`). Placements are visited in lexicographic order
+    and only strict improvements are kept, so ties go to the smallest change-point vector.
     """
-    n = table.n
+    n = source.n
     _check_size(n)
     _check_feasible(n, m, min_segment_length)
+    windows = [(a, b) for b in range(1, n + 1) for a in range(b - min_segment_length + 1)]
+    gather = _WindowGather(source, windows)
+    for _ in gather.blocks():
+        pass
+    scatter = dict(zip(windows, gather.scatters.tolist()))
     best_cps: tuple[int, ...] | None = None
     best_cost = float("inf")
     for combo in combinations(range(1, n), m - 1):
         bounds = (0, *combo, n)
         if any(b - a < min_segment_length for a, b in zip(bounds[:-1], bounds[1:])):
             continue
-        cost = placement_objective(table, combo)
+        cost = _dp_sum(scatter[w] for w in zip(bounds[:-1], bounds[1:]))
         if cost < best_cost:
             best_cost = cost
             best_cps = combo

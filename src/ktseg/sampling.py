@@ -156,11 +156,17 @@ def plan_samples(
 
     Sample i of a segment [a, b) of length L is candidate
     a + floor((i + 0.5) * L / k); segments shorter than k candidates repeat
-    indices so the m x k shape always holds downstream. After the candidate
-    count check, only the m*k picked candidates are placed on the timeline.
+    indices so the m x k shape always holds downstream. A k above the
+    timeline's source frame count, where the plan can only repeat frames, is
+    refused before anything is sampled. After the candidate count check, only
+    the m*k picked candidates are placed on the timeline.
     """
     if k < 1:
         raise NonPositiveKError(f"frames per segment must be >= 1, got {k}")
+    if k > timeline.frame_count:
+        raise InvariantViolationError(
+            f"{k} frames per segment exceed the video's {timeline.frame_count} source frames"
+        )
     count = _candidate_count(timeline, rate_per_second)
     if count != segmentation.n:
         raise CandidateCountMismatchError(

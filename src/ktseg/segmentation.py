@@ -12,12 +12,12 @@ indices at a time, one matmul per block, and turn them into scatters by O(n)
 running sums of squared pairwise kernel distances (``_scatter_blocks``):
 a solve needs O(m*n) memory. Chosen windows (``_WindowGather``) are read
 off the blocks of the solve they feed, so a comparison makes no pass of
-its own.
+its own; the brute-force oracle reads its windows off one pass too.
 ``build_variance_table`` writes the same blocks down: its ``VarianceTable``
-is a ``GramMatrix`` whose (n+1)^2 array, the only O(n^2) one, answers the
-brute-force oracle, ``placement_objective`` and the tests in O(1) a window. A
-solve on a table streams its rows' blocks like any solve, so its scatters are
-the table's, bit for bit.
+is a ``GramMatrix`` whose (n+1)^2 array, the only O(n^2) one, answers
+``placement_objective``, the tests and the benchmark in O(1) a window; no CLI
+command builds it. A solve or oracle on a table streams its rows' blocks like
+any source, so its scatters are the table's, bit for bit.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -210,8 +210,9 @@ class VarianceTable(GramMatrix):
     for every a < b: the squared kernel distances of the window's frame pairs,
     summed and divided by its length. That equals its Gram diagonal sum less
     its Gram mass over b - a. Single-frame windows are exactly zero. O(n^2)
-    memory, O(1) per query. Its blocks are its rows' blocks, so a solve on a
-    table computes the very scatters the table holds.
+    memory, O(1) per query: a reference for the tests and the benchmark, which
+    no solver or CLI command reads. Its blocks are its rows' blocks, so a solve
+    or oracle on a table computes the very scatters the table holds.
     """
 
     var_matrix: np.ndarray
@@ -310,16 +311,39 @@ class _WindowGather:
 def _prefetched(items: Iterator) -> Iterator:
     """``items`` unchanged, each computed one ahead on a worker thread; its errors re-raise here.
 
-    Every exit (an error on either thread, or ``close()``) joins the worker, then closes ``items``.
+    One bare ``ktseg-scatter`` thread answers one request at a time: it forms item b + 1 only
+    once the caller has taken item b, so it never writes into the buffer the caller holds (a
+    one-slot queue would let it run two items ahead). Every exit (an error on either thread,
+    or ``close()``) joins the worker, then closes ``items``.
     """
-    from concurrent.futures import ThreadPoolExecutor  # ~8 ms, paid only when used
+    import threading
+    from queue import SimpleQueue
 
-    done = object()
-    with closing(items), ThreadPoolExecutor(1, "ktseg-scatter") as pool:
-        ahead = pool.submit(next, items, done)
-        while (item := ahead.result()) is not done:
-            ahead = pool.submit(next, items, done)
-            yield item
+    done, requests, answers = object(), SimpleQueue(), SimpleQueue()
+
+    def serve() -> None:
+        while requests.get():
+            try:
+                answers.put((next(items, done), None))
+            except BaseException as exc:  # re-raised on the caller
+                answers.put((None, exc))
+
+    worker = threading.Thread(target=serve, name="ktseg-scatter")
+    with closing(items):
+        worker.start()
+        try:
+            requests.put(True)
+            while True:
+                item, exc = answers.get()
+                if exc is not None:
+                    raise exc
+                if item is done:
+                    return
+                requests.put(True)  # the worker forms the next item while the caller holds this one
+                yield item
+        finally:
+            requests.put(False)
+            worker.join()
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ substream seeds mixed from the config seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
@@ -76,6 +77,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise InfeasibleConfigError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
+        if 16 * self.n * self.d > sys.maxsize:  # Python ints: the noise stream's 2*n*d 8-byte counters
+            raise InfeasibleConfigError(
+                f"n={self.n}, d={self.d}: the noise stream's 2*n*d counters exceed what numpy can index"
+            )
         if self.segment_count < 1 or self.min_segment_length < 1:
             raise InfeasibleConfigError("segment count and minimum segment length must be >= 1")
         if self.segment_count * self.min_segment_length > self.n:

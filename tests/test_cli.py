@@ -18,6 +18,7 @@ from ktseg import (
     cli,
     compute_gram,
     generate,
+    io,
     placement_objective,
     sampling,
     segmentation,
@@ -352,6 +353,19 @@ def test_plan_overflowing_product_is_a_one_line_error(blocks_csv, tmp_path, flag
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
 
+def test_plan_refuses_more_frames_per_segment_than_the_video_has(blocks_csv, tmp_path):
+    seg_path, plan_path = tmp_path / "seg.json", tmp_path / "p.json"
+    assert run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", seg_path).returncode == 0
+    flags = ("--duration", 4.0, "--fps", 1, "--rate", 1, "--out", plan_path)  # 4 source frames
+    assert run_cli("plan", "--segmentation", seg_path, "--k", 4, *flags).returncode == 0
+    plan_path.unlink()
+    res = run_cli("plan", "--segmentation", seg_path, "--k", 5, *flags)
+    assert res.returncode == 1 and res.stdout == "" and not plan_path.exists()
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "4 source frames" in lines[0], res.stderr
+    assert "source frames" in run_cli("plan", "--help").stdout
+
+
 @pytest.mark.parametrize(
     "change_points, objective", [("[0]", "0"), ("[5]", "-1"), ("[5]", "1e400"), ("[5]", "9" * 400)],
     ids=["empty-segment", "negative-objective", "overflowing-objective", "400-digit-objective"],
@@ -369,6 +383,31 @@ def test_plan_names_the_file_for_invariant_errors(tmp_path, change_points, objec
     assert res.returncode == 1 and res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {seg_path}: "), res.stderr
+
+
+# Runs one CLI command in a fresh interpreter, recording the threads it starts,
+# and reports which of the executor's modules it imported.
+EXECUTOR_PROBE = """
+import sys, threading
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread.name) or start(thread)
+from ktseg import cli
+code = cli.main(sys.argv[1:])
+print(code, started, sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+"""
+
+
+def test_prefetching_segment_imports_no_executor(tmp_path):
+    path = tmp_path / "feats.csv"
+    write_features(FeatureSequence(values=np.random.default_rng(8).standard_normal((600, 4))), path)
+    env = os.environ.copy()
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", EXECUTOR_PROBE, "segment", "--features", str(path), "--m", "8",
+         "--out", str(tmp_path / "seg.json")], capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 ['ktseg-scatter'] []"
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +531,27 @@ def test_overflowing_synthetic_features_fail_in_one_line(tmp_path, command, scal
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:"), res.stderr
     assert "noise sigma 1e+308" in res.stderr
+
+
+@pytest.mark.parametrize("shape", [("--n", 10**20, "--d", 2), ("--n", 10, "--d", 10**20)], ids=["n", "d"])
+def test_synth_refuses_sizes_numpy_cannot_index_in_one_line(tmp_path, shape):
+    res = run_cli("synth", *shape, "--segments", 2, "--separation", 1.0, "--sigma", 0.1, "--seed", 0,
+                  "--features-out", tmp_path / "f.csv", "--truth-out", tmp_path / "t.json")
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "numpy" in lines[0], res.stderr
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_eval_reads_each_document_once(tmp_path, monkeypatch, capsys):
+    seg_path, truth_path = tmp_path / "seg.json", tmp_path / "truth.json"
+    write_segmentation(Segmentation(n=10, m=2, change_points=(5,), objective=0.0), seg_path)
+    write_truth(GroundTruth(n=10, change_points=(4,), seed=0), truth_path)
+    loads, load_json = [], io._load_json
+    monkeypatch.setattr(io, "_load_json", lambda path, *schemas: loads.append(path) or load_json(path, *schemas))
+    assert cli.main(["eval", "--pred", str(seg_path), "--truth", str(truth_path), "--tolerance", "1"]) == 0
+    assert loads == [str(seg_path), str(truth_path)]
+    assert json.loads(capsys.readouterr().out)["f1"] == 1.0
 
 
 def test_eval_perfect_prediction(tmp_path):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import heapq
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from ktseg import (
     FeatureSequence,
     InfeasibleConfigError,
     InstanceTooLargeError,
+    KernelSpec,
     SynthConfig,
     UnsortedInputError,
     boundary_metrics,
@@ -67,6 +69,20 @@ def test_brute_force_min_segment_length():
     table = table_for(rng.standard_normal((9, 2)))
     seg = brute_force(table, 3, min_segment_length=3)
     assert seg.change_points == (3, 6)
+
+
+@pytest.mark.parametrize("kernel", ["dot", "cosine", "rbf:0.5", "rbf:3"])
+@pytest.mark.parametrize("min_len", [1, 2, 3])
+def test_brute_force_on_the_gram_equals_brute_force_on_the_table(kernel, min_len):
+    rng = np.random.default_rng(min_len)
+    values = rng.standard_normal((13, 3))
+    values[4:7] = values[3]  # tied rows
+    gram = compute_gram(FeatureSequence(values=values), KernelSpec.from_tag(kernel))
+    for m in (1, 2, 4, 13 // min_len):
+        streamed = brute_force(gram, m, min_len)
+        dense = brute_force(build_variance_table(gram), m, min_len)
+        assert streamed.change_points == dense.change_points
+        assert struct.pack("<d", streamed.objective) == struct.pack("<d", dense.objective)
 
 
 # ---------------------------------------------------------------------------

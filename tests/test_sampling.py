@@ -97,6 +97,12 @@ def test_plan_rejects_bad_k():
         plan_samples(seg_of(4, (2,)), 0, timeline(4.0), 1.0)
 
 
+def test_plan_refuses_k_above_the_source_frame_count():
+    assert plan_samples(seg_of(4, (2,)), 120, timeline(4.0), 1.0).k == 120  # 120 source frames
+    with pytest.raises(InvariantViolationError, match="121 frames per segment exceed .* 120 source frames"):
+        plan_samples(seg_of(4, (2,)), 121, timeline(4.0), 1.0)
+
+
 def test_plan_candidate_count_mismatch():
     with pytest.raises(CandidateCountMismatchError, match="5 .* 4|4 .* 5"):
         plan_samples(seg_of(5, (2,)), 2, timeline(4.0), 1.0)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 import math
 import re
+import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -727,6 +729,35 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
             assert np.array_equal(held, produced[e0])
             seen.append(e0)
     assert seen == list(range(1, 41, 4))
+
+
+def test_prefetched_never_writes_the_held_buffer_under_fast_switching():
+    def two_buffers(count):  # item b + 2 reuses the buffer of item b, as the scatter blocks do
+        bufs = np.zeros(1), np.zeros(1)
+        for b in range(count):
+            bufs[b % 2][0] = b
+            yield bufs[b % 2]
+
+    def consume(i):
+        seen = []
+        for held in segmentation._prefetched(two_buffers(300)):
+            value = held[0]
+            time.sleep(0)  # let the worker run while this item is held
+            seen.append(held[0] == value == len(seen))
+        results[i] = seen == [True] * 300
+
+    results, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(i,)) for i in range(3)]  # six threads with their workers
+        for thread in consumers:
+            thread.start()
+        for thread in consumers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in consumers)
+    assert results == {0: True, 1: True, 2: True}
 
 
 def test_streaming_solve_holds_less_than_one_dense_array():
