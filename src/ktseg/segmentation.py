@@ -165,23 +165,30 @@ class KernelSpec:
 class GramMatrix:
     """Kernel values between all candidate frames, kept implicit in the kernel's input rows.
 
-    ``rows`` holds the rows the kernel compares (centred for dot,
-    L2-normalized for cosine). Gram columns are formed on demand, one block
-    of ``_BLOCK_ENDS`` ends at a time, so no n x n array is held: memory is
-    O(n*d) plus two blocks of 128*n doubles, 2 KiB per candidate.
+    ``rows`` holds the rows the kernel compares (centred for dot, L2-normalized for cosine) and
+    ``sq_norms`` their squared norms, formed once by :func:`compute_gram` for the dot diagonal
+    and the rbf distances. Gram columns are formed on demand, one block of ``_BLOCK_ENDS`` ends
+    at a time, so no n x n array is held: memory is O(n*d) plus two blocks of 128*n doubles,
+    2 KiB per candidate.
     """
 
     rows: np.ndarray
     kernel: KernelSpec
+    sq_norms: np.ndarray
 
     @property
     def n(self) -> int:
         return self.rows.shape[0]
 
     @property
+    def diag(self) -> np.ndarray:
+        """K(a, a) for every row a: its squared norm for dot, 1 for cosine and rbf."""
+        return self.sq_norms if self.kernel.kind == "dot" else np.ones(self.n)
+
+    @property
     def trace(self) -> float:
         """Sum of the kernel diagonal, the scale of every scatter."""
-        return float(_kernel_diagonal(self.rows, self.kernel).sum())
+        return float(self.diag.sum())
 
     def blocks(self, start: Callable[[], int] = lambda: 0) -> Iterator[tuple[int, int, np.ndarray]]:
         """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices; see :func:`_scatter_blocks`.
@@ -247,9 +254,7 @@ def _scatter_blocks(
     computes block b + 1. Raises PrecisionLossError when a raw scatter the
     block forms falls below -1e-9.
     """
-    x, kernel = gram.rows, gram.kernel
-    diag = _kernel_diagonal(x, kernel)
-    n = len(diag)
+    diag, n = gram.diag, gram.n
     w_max = min(_BLOCK_ENDS, n)
     pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
     lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
@@ -261,7 +266,7 @@ def _scatter_blocks(
         k = bufs[b % 2][: w * (cols - c0)].reshape(w, cols - c0)
         edges = [*range(c0, max(cols - _TILE, c0) + 1, _TILE), cols]  # the last tile takes the rest
         for s0, s1 in zip(edges[:-1], edges[1:]):
-            _kernel_values(x[e0 - 1 : cols], x[s0:s1], kernel, out=k[:, s0 - c0 : s1 - c0])
+            _kernel_values(gram, slice(e0 - 1, cols), slice(s0, s1), out=k[:, s0 - c0 : s1 - c0])
         k *= -2.0
         k += diag[c0:cols]
         k += diag[e0 - 1 : cols, None]  # k[j, s - c0] = d2(s, e-1) for e = e0 + j
@@ -400,21 +405,15 @@ def _check_candidates(n: int, max_candidates: int) -> None:
         )
 
 
-def _kernel_values(xa: np.ndarray, xb: np.ndarray, kernel: KernelSpec, out=None) -> np.ndarray:
-    """K(a, b) for every row a of xa and b of xb, off the prepared rows, into ``out`` if given."""
-    g = np.matmul(xa, xb.T, out=out)
+def _kernel_values(gram: GramMatrix, a: slice, b: slice, out=None) -> np.ndarray:
+    """K(s, t) for every row s in slice ``a`` and t in slice ``b`` of ``gram``, into ``out`` if given."""
+    x, sq, kernel = gram.rows, gram.sq_norms, gram.kernel
+    g = np.matmul(x[a], x[b].T, out=out)
     if kernel.kind == "rbf":
-        sqa = np.einsum("ij,ij->i", xa, xa)
-        sqb = np.einsum("ij,ij->i", xb, xb)
-        d2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * g, 0.0)
+        d2 = np.maximum(sq[a, None] + sq[None, b] - 2.0 * g, 0.0)
         with np.errstate(over="ignore"):  # a ratio past float64 stands for exp(-inf) = 0
             g = np.exp(-d2 / (2.0 * kernel.bandwidth**2), out=g)
     return g
-
-
-def _kernel_diagonal(rows: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """K(a, a) for every prepared row a: its squared norm for dot, 1 for cosine and rbf."""
-    return np.einsum("ij,ij->i", rows, rows) if kernel.kind == "dot" else np.ones(len(rows))
 
 
 def _check_precision(raw: np.ndarray) -> None:
@@ -449,11 +448,13 @@ def compute_gram(
     kernel = kernel if kernel is not None else KernelSpec()
     _check_candidates(features.n, max_candidates)
     x = features.values
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if kernel.kind == "dot":
             x = x - x.mean(axis=0)
         norms = np.linalg.norm(x, axis=1) if kernel.kind == "cosine" else None
-        bound = norms.max() if norms is not None else 4.0 * len(x) * np.einsum("ij,ij->", x, x)
+        x = x / norms[:, None] if norms is not None else x
+        sq_norms = np.einsum("ij,ij->i", x, x)
+        bound = norms.max() if norms is not None else 4.0 * len(x) * sq_norms.sum()
     if not np.isfinite(bound):
         raise PrecisionLossError(
             f"kernel values overflow float64 (bound {bound:.3e}); "
@@ -463,9 +464,8 @@ def compute_gram(
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroNormRowError(f"cosine kernel requires nonzero rows; row {zero[0] + 1} is all zero")
-        x = x / norms[:, None]
     x.setflags(write=False)
-    return GramMatrix(rows=x, kernel=kernel)
+    return GramMatrix(rows=x, kernel=kernel, sq_norms=sq_norms)
 
 
 def build_variance_table(gram: GramMatrix) -> VarianceTable:
@@ -481,7 +481,7 @@ def build_variance_table(gram: GramMatrix) -> VarianceTable:
     for e0, _, raw in gram.blocks():
         var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
     var_matrix.setflags(write=False)
-    return VarianceTable(rows=gram.rows, kernel=gram.kernel, var_matrix=var_matrix)
+    return VarianceTable(rows=gram.rows, kernel=gram.kernel, sq_norms=gram.sq_norms, var_matrix=var_matrix)
 
 
 def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
@@ -506,7 +506,7 @@ def _equal_split_total(gram: GramMatrix, m: int) -> float:
     for a, b in zip([k * n // m for k in range(m)], [k * n // m for k in range(1, m + 1)]):
         w = x[a:b]
         if kernel.kind == "rbf" and b - a <= _BLOCK_ENDS:
-            total += (b - a) - float(_kernel_values(w, w, kernel).sum()) / (b - a)
+            total += (b - a) - float(_kernel_values(gram, slice(a, b), slice(a, b)).sum()) / (b - a)
             continue
         dev = w - w.mean(axis=0)
         scatter = float(np.einsum("ij,ij->", dev, dev))
@@ -591,12 +591,12 @@ def _solve_rows(
     window of e, and var(t, e) only grows with e, so every later cell
     exceeds the ceiling too, up to rounding.
 
-    Each block starts at the lowest lo[i] of a row with ends left, n once
-    no row has any: starts below it are never read again, so a late block
-    changes no cell. Its blocks are the full pass's bit for bit (see
-    :func:`_scatter_blocks`). From four blocks on, a worker thread forms each
-    block one ahead (:func:`_prefetched`) and may read the bound a block
-    late; under four, the thread costs more than its overlap saves.
+    Each block starts at the lowest lo[i] of a row with ends left, n once no row has any:
+    starts below it are never read again, so a late block changes no cell. Its blocks are the
+    full pass's bit for bit (see :func:`_scatter_blocks`). From four blocks on, a worker thread
+    forms each block one ahead (:func:`_prefetched`) and may read the bound a block late. Its
+    overlap needs a second free core: on one, subprocess pairs showed it pay at no n from 400
+    to 3,600 and lose two pairs in three at n = 400, so smaller solves start none.
 
     The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
     (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,

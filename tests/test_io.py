@@ -523,6 +523,11 @@ def test_render_document_rejects_non_finite():
         render_document({"x": float("inf")})
 
 
+def test_render_document_refuses_values_it_cannot_render():
+    with pytest.raises(TypeError, match="cannot render set as JSON"):
+        render_document({"x": {1, 2}})
+
+
 def test_render_document_numpy_scalars_match_builtins():
     as_numpy = {"i": np.int64(-7), "f32": np.float32(0.1), "f64": np.float64(1 / 3)}
     as_builtin = {"i": -7, "f32": float(np.float32(0.1)), "f64": 1 / 3}

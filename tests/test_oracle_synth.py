@@ -15,6 +15,7 @@ from ktseg import (
     FeatureSequence,
     InfeasibleConfigError,
     InstanceTooLargeError,
+    InvariantViolationError,
     KernelSpec,
     SynthConfig,
     UnsortedInputError,
@@ -223,6 +224,22 @@ def test_generator_infeasible_configs():
         base_config(n=20, segment_count=5, min_segment_length=5)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n": 0}, "need n >= 1 and d >= 1"),
+        ({"d": 0}, "need n >= 1 and d >= 1"),
+        ({"segment_count": 0}, "segment count and minimum segment length must be >= 1"),
+        ({"min_segment_length": 0}, "segment count and minimum segment length must be >= 1"),
+        ({"seed": -1}, "seed must fit in an unsigned 64-bit integer"),
+        ({"seed": 2**64}, "seed must fit in an unsigned 64-bit integer"),
+    ],
+)
+def test_generator_refuses_sizes_and_seeds_out_of_range(overrides, message):
+    with pytest.raises(InfeasibleConfigError, match=message):
+        base_config(**overrides)
+
+
 @pytest.mark.parametrize("separation, sigma", [(3.0, 1e308), (1.7e308, 1e308)])
 def test_generator_overflow_raises_without_a_warning(separation, sigma):
     # Warnings are errors in this suite, so an overflow warning on the way fails too.
@@ -288,6 +305,11 @@ def test_metrics_unsorted_input():
         boundary_metrics([5, 5], [1], 0)
     with pytest.raises(UnsortedInputError):
         boundary_metrics([5], [3, 1], 0)
+
+
+def test_metrics_refuse_a_negative_tolerance():
+    with pytest.raises(InvariantViolationError, match="tolerance must be nonnegative, got -1"):
+        boundary_metrics([5], [5], -1)
 
 
 @given(

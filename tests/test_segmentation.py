@@ -74,7 +74,7 @@ def numpy_gram(values, kernel):
 
 def kernel_entries(gram):
     """Every kernel value of a GramMatrix, formed from its rows."""
-    return segmentation._kernel_values(gram.rows, gram.rows, gram.kernel)
+    return segmentation._kernel_values(gram, slice(None), slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,21 @@ def test_gram_rbf_entries_in_unit_interval():
     g = compute_gram(feats, KernelSpec(kind="rbf", bandwidth=1.5))
     entries = kernel_entries(g)
     assert (entries > 0).all() and (entries <= 1).all()
-    assert segmentation._kernel_diagonal(g.rows, g.kernel).tolist() == [1.0] * 12
+    assert g.diag.tolist() == [1.0] * 12
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)])
+def test_gram_forms_its_row_norms_once(kernel):
+    # 300 rows: three blocks, the last in two tiles, and rbf split windows of 100 rows.
+    values = np.random.default_rng(27).standard_normal((300, 5)) + 3.0
+    gram = compute_gram(FeatureSequence(values=values), kernel)
+    want = np.einsum("ij,ij->i", gram.rows, gram.rows) if kernel.kind == "dot" else np.ones(gram.n)
+    assert np.array_equal(gram.diag, want) and gram.trace == float(want.sum())
+    # The norms kept by compute_gram serve every block and every rbf split window.
+    with mock.patch.object(segmentation, "np", FailingCall("einsum", 1)):
+        assert sum(1 for _ in gram.blocks()) == 3
+        if kernel.kind == "rbf":
+            segmentation._equal_split_total(gram, 3)
 
 
 def test_rbf_kernel_values_past_float64_are_zero():
@@ -284,7 +298,7 @@ def test_window_scatters_are_exact_to_their_own_rows():
     values = np.vstack([1000.0 * signs, rng.uniform(-3.0, 3.0, (60, 3))])
     gram = compute_gram(FeatureSequence(values=values))
     table = build_variance_table(gram)
-    diag = segmentation._kernel_diagonal(gram.rows, gram.kernel)
+    diag = gram.diag
     exact = [[Fraction(v) for v in row] for row in values]
     eps = np.finfo(np.float64).eps
     for a in range(60, 120):
@@ -437,13 +451,12 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, bl
     n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
     feats = FeatureSequence(values=shaped_values(rng, shape, n, d))
     gram = compute_gram(feats, kernel)
-    x, diag = gram.rows, segmentation._kernel_diagonal(gram.rows, kernel)
     # The stream and the formula take a block's kernel columns from one matmul, whose
     # last bits depend on its shape (rows of a full-square Gram can differ), so both
     # use the same width.
-    kernel_columns = lambda e0, cols: segmentation._kernel_values(x[e0 - 1 : cols], x[:cols], kernel)
+    kernel_columns = lambda e0, cols: segmentation._kernel_values(gram, slice(e0 - 1, cols), slice(cols))
     count = 0
-    unfused = unfused_scatter_blocks(diag, block_ends, kernel_columns)
+    unfused = unfused_scatter_blocks(gram.diag, block_ends, kernel_columns)
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         for (e0, _, got), (want_e0, want) in zip(gram.blocks(), unfused):
             assert e0 == want_e0 and got.shape == want.shape
@@ -1347,6 +1360,23 @@ def test_segmentation_invariants():
         Segmentation(n=4, m=2, change_points=(2,), objective=-1.0)
     seg = Segmentation(n=4, m=2, change_points=(2,), objective=0.0)
     assert seg.segment_bounds() == ((0, 2), (2, 4))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("min_segment_length", 0, "minimum segment length must be >= 1"),
+        ("penalty", -1.0, "penalty must be finite and nonnegative"),
+        ("penalty", math.nan, "penalty must be finite and nonnegative"),
+        ("penalty", math.inf, "penalty must be finite and nonnegative"),
+        ("penalty_weight", -1.0, "penalty weight must be finite and nonnegative"),
+        ("penalty_weight", math.nan, "penalty weight must be finite and nonnegative"),
+        ("penalty_weight", math.inf, "penalty weight must be finite and nonnegative"),
+    ],
+)
+def test_segmentation_refuses_bad_lengths_and_penalties(field, value, message):
+    with pytest.raises(InvariantViolationError, match=message):
+        Segmentation(n=4, m=2, change_points=(2,), objective=0.0, **{field: value})
 
 
 def test_types_are_frozen():
