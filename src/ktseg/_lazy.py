@@ -1,31 +1,26 @@
-"""numpy on first use, after the lazy loading of Scientific Python SPEC 1."""
+"""numpy on first use, by a plain ``import numpy`` at the first attribute read."""
 
-from __future__ import annotations
-
-import importlib.util
 import sys
 from types import ModuleType
 
 
 def lazy_numpy() -> ModuleType:
-    """numpy, or a stand-in that imports it on its first attribute access.
+    """numpy if it is imported, else a new stand-in module that ``sys.modules`` never holds.
 
-    When numpy is already in ``sys.modules`` (imported eagerly, or lazily
-    by an earlier call) that module is returned unchanged. Only when it is
-    not yet imported is a stdlib ``importlib.util.LazyLoader`` module
-    installed under ``sys.modules["numpy"]``, so ``import numpy`` anywhere
-    later shares it. Importing ktseg, and the ``plan`` and ``eval`` paths,
-    then never pay numpy's import or its BLAS thread start-up. Before
-    Python 3.12 the first access is not thread safe: touch numpy once
-    before using ktseg from several threads (its scatter worker starts later).
+    The stand-in's first read of a name imports numpy (whose import lock makes threads
+    reading together wait for the whole module) and keeps the name, so later reads are
+    plain module attribute reads. ``import ktseg``, ``plan`` and ``eval`` never load numpy.
     """
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+    if (loaded := sys.modules.get("numpy")) is not None:
+        return loaded
+    stand_in = ModuleType("numpy")
+
+    def __getattr__(name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(stand_in, name, value)
+        return value
+
+    stand_in.__getattr__ = __getattr__
+    return stand_in

@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 import struct
-import warnings
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +54,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     if not path.name:
         raise OSError(f"cannot write to {str(path)!r}: not a file path")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -184,19 +184,20 @@ def _read_features_csv(path: Path) -> FeatureSequence:
 
     ``np.loadtxt`` rounds correctly, like ``float()``, so the two readers
     give the same bits wherever both accept the text. The token reader
-    runs when loadtxt refuses the text or finds no rows, or when
+    runs when loadtxt refuses the text or the file has no rows, or when
     ``FeatureSequence`` meets a non-finite value in what loadtxt read (the
     one finiteness pass): it alone skips whitespace-only lines, accepts every
     ``float()`` literal (such as ``1_0``) and names the row and column of
     a bad value. Both read UTF-8 with an optional BOM.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        with open(path, encoding="utf-8-sig") as fh:
+            rows = any(line.strip() for line in fh)  # loadtxt warns on a file without rows
+            fh.seek(0)
+            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None) if rows else None
     except ValueError:  # also UnicodeDecodeError, reported by the token reader
         values = None
-    if values is not None and values.size:
+    if values is not None:
         try:
             return FeatureSequence(values=values)
         except NonFiniteValueError:

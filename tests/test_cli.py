@@ -251,17 +251,18 @@ import sys
 from ktseg import cli
 def numpy_loaded():
     return any(name.startswith("numpy.") for name in sys.modules)
-after_import = numpy_loaded()
+after_import = numpy_loaded(), "numpy" in sys.modules
 code = cli.main(sys.argv[1:])
-print(after_import, code, numpy_loaded())
+print(*after_import, code, numpy_loaded(), "numpy" in sys.modules)
 """
 
 
-def probe_numpy(*args):
+def probe(script, *args):
+    """The last line that ``script`` prints in a fresh interpreter."""
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     res = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *map(str, args)], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env
     )
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()[-1]
@@ -274,13 +275,43 @@ def test_numpy_loads_only_where_features_are_touched(tmp_path):
     write_features(features, tmp_path / "feats.csv")
     seg_lazy, seg_eager = tmp_path / "lazy.json", tmp_path / "eager.json"
     segment = ("segment", "--features", tmp_path / "feats.csv", "--auto", "--max-segments", 6)
-    assert probe_numpy(*segment, "--out", seg_lazy) == "False 0 True"
+    assert probe(NUMPY_PROBE, *segment, "--out", seg_lazy) == "False False 0 True True"
     assert cli.main([*map(str, segment), "--out", str(seg_eager)]) == 0  # numpy already loaded
     assert seg_lazy.read_bytes() == seg_eager.read_bytes()
     plan = ("plan", "--segmentation", seg_lazy, "--k", 2, "--duration", 60, "--fps", 25,
             "--rate", 1, "--out", tmp_path / "plan.json")
-    assert probe_numpy(*plan) == "False 0 False"
-    assert probe_numpy("eval", "--pred", seg_lazy, "--truth", seg_eager) == "False 0 False"
+    assert probe(NUMPY_PROBE, *plan) == "False False 0 False False"
+    assert probe(NUMPY_PROBE, "eval", "--pred", seg_lazy, "--truth", seg_eager) == "False False 0 False False"
+
+
+FIRST_USE_PROBE = """
+import sys, threading
+from ktseg import FeatureSequence, compute_gram, solve_fixed
+from ktseg.io import read_features
+assert not any(name.startswith("numpy.") for name in sys.modules)  # the first use is below
+rows = [[float(i // 4), float(i % 3)] for i in range(12)]
+start, results = threading.Barrier(4), []
+def first_use(read_first):  # half the threads touch numpy first through io, half through segmentation
+    start.wait()
+    try:
+        n = read_features(sys.argv[1]).n if read_first else None
+        seg = solve_fixed(compute_gram(FeatureSequence(values=rows)), 3)
+        results.append((seg.change_points, n or read_features(sys.argv[1]).n))
+    except Exception as exc:
+        results.append(repr(exc))
+threads = [threading.Thread(target=first_use, args=(i % 2,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(results)
+"""
+
+
+def test_threads_may_make_the_first_numpy_use_together(tmp_path):
+    """Four threads of a fresh interpreter touch numpy first through ktseg at once."""
+    (tmp_path / "feats.csv").write_text(BLOCKS_CSV)
+    assert probe(FIRST_USE_PROBE, tmp_path / "feats.csv") == repr([((4, 8), 4)] * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from ktseg import (
 from ktseg.io import (
     GroundTruth,
     _read_features_csv_tokens,
+    atomic_write_bytes,
     read_boundaries,
     read_features,
     read_plan,
@@ -149,6 +151,31 @@ def test_csv_without_rows_warns_nothing(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(MalformedHeaderError, match="no feature rows"):
             read_features(path)
+
+
+def test_concurrent_csv_reads_leave_the_warning_filters_alone(tmp_path):
+    empty, rows = tmp_path / "empty.csv", tmp_path / "rows.csv"
+    empty.write_text("")
+    rows.write_text("1,2\n3,4\n")
+    filters = list(warnings.filters)  # numpy is imported above, so its own filters are in
+    errors, failures = [], []
+
+    def read_both():
+        for _ in range(1000):
+            with pytest.raises(MalformedHeaderError) as excinfo:
+                read_features(empty)
+            errors.append(str(excinfo.value))
+            if read_features(rows).values.tolist() != [[1.0, 2.0], [3.0, 4.0]]:
+                failures.append("rows")
+
+    threads = [threading.Thread(target=read_both) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert warnings.filters == filters
+    assert not failures and len(errors) == 4000
+    assert set(errors) == {f"{empty}: no feature rows"}
 
 
 def test_csv_non_finite_after_blank_line_names_file_line(tmp_path):
@@ -509,6 +536,27 @@ def test_write_errors_carry_path_context(tmp_path):
     missing_dir = tmp_path / "nope" / "plan.json"
     with pytest.raises(OSError, match="plan.json"):
         write_plan(plan, missing_dir)
+
+
+def test_threads_writing_one_path_do_not_share_a_temporary_file(tmp_path):
+    path, payloads = tmp_path / "t.json", [b"a" * 4096, b"b" * 8192]
+    errors = []
+
+    def write(data):
+        for _ in range(300):
+            try:
+                atomic_write_bytes(path, data)
+            except OSError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(data,)) for data in payloads]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 def test_no_temp_files_left_behind(tmp_path):
