@@ -40,7 +40,6 @@ from .sampling import (
     VideoTimeline,
     candidate_timestamps,
     plan_samples,
-    uniform_change_points,
     uniform_plan,
 )
 from .segmentation import (
@@ -57,6 +56,7 @@ from .segmentation import (
     solve_auto,
     solve_fixed,
     solve_range,
+    uniform_change_points,
 )
 from .synth import SynthConfig, SyntheticInstance, generate
 

@@ -17,7 +17,7 @@ from . import io
 from .errors import CandidateCountMismatchError, KtsError
 from .metrics import _against_uniform, _uniform_gather, boundary_metrics
 from .oracle import _check_size, brute_force
-from .sampling import VideoTimeline, plan_samples, uniform_change_points
+from .sampling import VideoTimeline, plan_samples
 from .segmentation import (
     DEFAULT_CANDIDATE_CAP,
     KernelSpec,
@@ -26,6 +26,7 @@ from .segmentation import (
     solve_auto,
     solve_fixed,
     solve_range,
+    uniform_change_points,
 )
 from .synth import SynthConfig, generate
 
@@ -33,32 +34,23 @@ from .synth import SynthConfig, generate
 SWEEP_DIVISORS = (1, 2, 3, 4, 6)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded_number(name: str, kind: type, zero_ok: bool, rule: str):
+    """An argparse type named ``name``: ``kind(text)``, finite and above 0 (or at 0 when ``zero_ok``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = name  # argparse names it in "invalid <name> value"
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {value}")
-    return value
+_positive_int = _bounded_number("_positive_int", int, False, "a positive integer")
+_nonnegative_int = _bounded_number("_nonnegative_int", int, True, "nonnegative")
+_positive_float = _bounded_number("_positive_float", float, False, "positive and finite")
+_nonnegative_float = _bounded_number("_nonnegative_float", float, True, "nonnegative and finite")
 
 
 def _kernel(text: str) -> KernelSpec:

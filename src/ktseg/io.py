@@ -59,7 +59,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc  # not the temporary file's name
     finally:
         if tmp.exists():
             tmp.unlink(missing_ok=True)
@@ -172,9 +172,15 @@ def write_features(features: FeatureSequence, path: str | Path) -> None:
         lines = [",".join(repr(float(v)) for v in row) for row in features.values]
         atomic_write_text(path, "\n".join(lines) + "\n")
     elif path.suffix == ".ktsf":
+        with np.errstate(over="ignore"):  # a value past float32 narrows to inf, refused below
+            values = np.ascontiguousarray(features.values, dtype="<f4")
+        over = np.argwhere(np.isinf(values))  # the first one, row-major, as the reader would name it
+        if over.size:
+            raise NonFiniteValueError(
+                f"{path}: value at row {over[0][0] + 1}, column {over[0][1] + 1} overflows float32"
+            )
         header = _HEADER.pack(_FEATURE_MAGIC, _FEATURE_VERSION, features.n, features.d)
-        payload = np.ascontiguousarray(features.values, dtype="<f4").tobytes()
-        atomic_write_bytes(path, header + payload)
+        atomic_write_bytes(path, header + values.tobytes())
     else:
         raise MalformedHeaderError(f"{path}: unsupported feature extension {path.suffix!r}")
 

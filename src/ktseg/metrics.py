@@ -8,8 +8,7 @@ from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
-from .sampling import uniform_change_points
-from .segmentation import GramMatrix, Segmentation, _WindowGather, _dp_sum, solve_fixed
+from .segmentation import GramMatrix, Segmentation, _WindowGather, _dp_sum, solve_fixed, uniform_change_points
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,16 @@ the centers of k equal strata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
     CandidateCountMismatchError,
-    InfeasibleSegmentCountError,
     InvariantViolationError,
     NonPositiveKError,
     NonPositiveRateError,
 )
-from .segmentation import Segmentation
+from .segmentation import Segmentation, uniform_change_points
 
 
 class Candidate(NamedTuple):
@@ -32,29 +31,24 @@ class Candidate(NamedTuple):
 
 @dataclass(frozen=True)
 class VideoTimeline:
-    """Duration and frame rate of the original video.
-
-    frame_count defaults to floor(duration * fps) when not given.
-    """
+    """Duration and frame rate of the original video; frame_count is floor(duration * fps)."""
 
     duration_seconds: float
     source_fps: float
-    frame_count: int | None = None
+    frame_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.duration_seconds > 0) or not math.isfinite(self.duration_seconds):
             raise InvariantViolationError("duration must be a positive finite number of seconds")
         if not (self.source_fps > 0) or not math.isfinite(self.source_fps):
             raise InvariantViolationError("source fps must be positive and finite")
-        count = self.frame_count
-        if count is None:
-            count = _whole(self.duration_seconds * self.source_fps, "duration * fps")
+        count = _whole(self.duration_seconds * self.source_fps, "duration * fps")
         if count < 1:
             raise InvariantViolationError(
                 f"timeline implies {count} frames; need at least 1 "
                 f"(duration={self.duration_seconds}, fps={self.source_fps})"
             )
-        object.__setattr__(self, "frame_count", int(count))
+        object.__setattr__(self, "frame_count", count)
 
 
 @dataclass(frozen=True)
@@ -186,13 +180,6 @@ def plan_samples(
             )
         )
     return SamplingPlan(k=k, segments=tuple(segments))
-
-
-def uniform_change_points(n: int, m: int) -> tuple[int, ...]:
-    """Boundaries of the m near-equal segments: floor(i * n / m)."""
-    if m < 1 or m > n:
-        raise InfeasibleSegmentCountError(f"cannot cut {n} candidates into {m} uniform segments")
-    return tuple((i * n) // m for i in range(1, m))
 
 
 def uniform_plan(

@@ -490,9 +490,10 @@ def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> f
     return _dp_sum(table.var(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
-def _equal_split_total(gram: GramMatrix, m: int) -> float:
-    """An upper bound on the total scatter of the split at floor(k*n/m), k = 1..m-1, off the rows.
+def _split_total(gram: GramMatrix, bounds: Sequence[int]) -> float:
+    """An upper bound on the total scatter of the split at ``bounds`` (0, t_1, ..., n), off the rows.
 
+    The windows [bounds[k], bounds[k+1]) are added left to right from 0.0.
     For dot and cosine it is the total itself: each window's scatter is its
     rows' squared distances to their mean, O(n*d) in all. For rbf a window
     of at most ``_BLOCK_ENDS`` rows takes L less its kernel mass over L,
@@ -501,9 +502,9 @@ def _equal_split_total(gram: GramMatrix, m: int) -> float:
     distance over bw^2. Either rounds within the block arithmetic's bound of
     exact, not to its bits.
     """
-    x, n, kernel = gram.rows, gram.n, gram.kernel
+    x, kernel = gram.rows, gram.kernel
     total = 0.0
-    for a, b in zip([k * n // m for k in range(m)], [k * n // m for k in range(1, m + 1)]):
+    for a, b in zip(bounds[:-1], bounds[1:]):
         w = x[a:b]
         if kernel.kind == "rbf" and b - a <= _BLOCK_ENDS:
             total += (b - a) - float(_kernel_values(gram, slice(a, b), slice(a, b)).sum()) / (b - a)
@@ -539,6 +540,13 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
         raise InfeasibleSegmentCountError(
             f"cannot cut {n} candidates into {m} segments of length >= {min_len}"
         )
+
+
+def uniform_change_points(n: int, m: int) -> tuple[int, ...]:
+    """Boundaries of the m near-equal segments: floor(i * n / m)."""
+    if m < 1 or m > n:
+        raise InfeasibleSegmentCountError(f"cannot cut {n} candidates into {m} uniform segments")
+    return tuple((i * n) // m for i in range(1, m))
 
 
 def _physical_memory() -> int | None:
@@ -756,25 +764,31 @@ def solve_auto(
     separately.
 
     Branch and bound: B, the criterion total of the equal-length split into
-    m_max segments (see :func:`_equal_split_total`) plus a rounding margin,
-    bounds the chosen total from above, so no cell of the chosen count's
-    optimal path has cost + penalty(i) above B. Rows stop once all their
-    later cells must (see :func:`_solve_rows`), so only losing counts may
-    come out inflated; the chosen m, change points and objective are the
-    full sweep's bit for bit. Every count keeps its row, as penalty(m) <= B.
+    m_max segments at :func:`uniform_change_points` (see :func:`_split_total`)
+    plus a rounding margin, bounds the chosen total from above, so no cell of
+    the chosen count's optimal path has cost + penalty(i) above B. Rows stop
+    once all their later cells must (see :func:`_solve_rows`), so only losing
+    counts may come out inflated; the chosen m, change points and objective
+    are the full sweep's bit for bit. Every count keeps its row, as
+    penalty(m) <= B. A B past float64, from a penalty weight whose penalty
+    overflows, stops no row, so then no ceilings are formed.
     """
     if not (penalty_weight > 0) or not math.isfinite(penalty_weight):
         raise NonPositivePenaltyWeightError(f"penalty weight must be positive, got {penalty_weight}")
     n = table.n
     _check_feasible(n, 1, min_segment_length)  # before the division by min_segment_length
     m_max = min(m_max, n // min_segment_length)
+    _check_feasible(n, m_max, min_segment_length)
     # B covers the split's rounding against the DP's (its scatters, its m
     # additions) and the slack of the ceiling rule (two scatters of one
     # start, three additions) in units of the trace, 2*_rounding_margin;
     # the relative term covers adding and subtracting penalties.
-    split = _equal_split_total(table, m_max) + segment_count_penalty(m_max, n, penalty_weight)
+    split = _split_total(table, (0, *uniform_change_points(n, m_max), n))
+    split += segment_count_penalty(m_max, n, penalty_weight)
     bound = split + 2 * _rounding_margin(table) + 8 * np.finfo(np.float64).eps * split
-    ceilings = [bound - segment_count_penalty(i, n, penalty_weight) for i in range(m_max + 1)]
+    ceilings = None
+    if math.isfinite(bound):
+        ceilings = [bound - segment_count_penalty(i, n, penalty_weight) for i in range(m_max + 1)]
     J, segmentation = _solve_counts(table, range(1, m_max + 1), min_segment_length, ceilings)
     m = _choose_count([J[m] for m in range(1, m_max + 1)], n, penalty_weight)
     penalty = segment_count_penalty(m, n, penalty_weight)

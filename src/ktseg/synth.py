@@ -105,7 +105,6 @@ class SyntheticInstance:
 
     features: FeatureSequence
     true_change_points: tuple[int, ...]
-    config: SynthConfig
 
 
 def _draw_subset(seed: int, pool_size: int, count: int) -> list[int]:
@@ -158,4 +157,4 @@ def generate(config: SynthConfig) -> SyntheticInstance:
             f"separation {config.mean_separation!r} and noise sigma {config.noise_sigma!r} "
             "overflow float64 feature values"
         ) from None
-    return SyntheticInstance(features=features, true_change_points=change_points, config=config)
+    return SyntheticInstance(features=features, true_change_points=change_points)

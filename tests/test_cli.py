@@ -22,6 +22,7 @@ from ktseg import (
     placement_objective,
     sampling,
     segmentation,
+    solve_auto,
     solve_range,
     uniform_change_points,
 )
@@ -35,6 +36,7 @@ BLOCKS_CSV = "1,0\n1,0\n0,1\n0,1\n"
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONWARNINGS"] = "error"  # as pyproject's filterwarnings does in-process
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -85,6 +87,26 @@ def test_segment_auto_max_segments_above_n(blocks_csv, tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads(out.read_text())
     assert doc["m"] == 2 and doc["changePoints"] == [2]
+
+
+@pytest.mark.parametrize(
+    "config, weight",
+    [
+        (SynthConfig(n=50, d=4, segment_count=3, mean_separation=2.0, noise_sigma=0.1, seed=1), "1.7e308"),
+        (SynthConfig(n=3, d=1, segment_count=1, mean_separation=0.0, noise_sigma=1.0, seed=5), "1e308"),
+    ],
+    ids=["50x4", "3x1"],
+)
+def test_segment_auto_penalty_past_float64_warns_nothing(tmp_path, config, weight):
+    # Penalties of the larger counts overflow to inf; the run must neither warn nor change its answer.
+    features, out, want = tmp_path / "f.csv", tmp_path / "seg.json", tmp_path / "want.json"
+    write_features(generate(config).features, features)
+    res = run_cli("segment", "--features", features, "--auto", "--max-segments", config.n,
+                  "--penalty-weight", weight, "--out", out)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    seg = solve_auto(compute_gram(io.read_features(features)), config.n, float(weight))
+    write_segmentation(seg, want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_segment_mode_conflict(blocks_csv, tmp_path):
@@ -574,6 +596,15 @@ def test_synth_refuses_sizes_numpy_cannot_index_in_one_line(tmp_path, shape):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_synth_refuses_ktsf_values_past_float32(tmp_path):
+    features, truth = tmp_path / "s.ktsf", tmp_path / "s.json"
+    res = run_cli("synth", "--n", 3, "--d", 1, "--segments", 1, "--separation", 0, "--sigma", "1e200",
+                  "--seed", 5, "--features-out", features, "--truth-out", truth)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.splitlines() == [f"error: {features}: value at row 1, column 1 overflows float32"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_reads_each_document_once(tmp_path, monkeypatch, capsys):
     seg_path, truth_path = tmp_path / "seg.json", tmp_path / "truth.json"
     write_segmentation(Segmentation(n=10, m=2, change_points=(5,), objective=0.0), seg_path)
@@ -824,6 +855,29 @@ def test_flag_surface():
     assert surface == FLAG_SURFACE
     groups = [[a.option_strings for a in g._group_actions] for g in commands["segment"]._mutually_exclusive_groups]
     assert groups == [[["--m"], ["--auto"]]] and commands["segment"]._mutually_exclusive_groups[0].required
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "--k", "0"], "argument --k: must be a positive integer, got 0"),
+        (["plan", "--k", "x"], "argument --k: invalid _positive_int value: 'x'"),
+        (["synth", "--n", "1.5"], "argument --n: invalid _positive_int value: '1.5'"),
+        (["eval", "--tolerance", "-1"], "argument --tolerance: must be nonnegative, got -1"),
+        (["eval", "--tolerance", "y"], "argument --tolerance: invalid _nonnegative_int value: 'y'"),
+        (["plan", "--fps", "0"], "argument --fps: must be positive and finite, got 0.0"),
+        (["plan", "--fps", "inf"], "argument --fps: must be positive and finite, got inf"),
+        (["plan", "--rate", "z"], "argument --rate: invalid _positive_float value: 'z'"),
+        (["synth", "--sigma", "-1"], "argument --sigma: must be nonnegative and finite, got -1.0"),
+        (["synth", "--sigma", "nan"], "argument --sigma: must be nonnegative and finite, got nan"),
+        (["synth", "--separation", "w"], "argument --separation: invalid _nonnegative_float value: 'w'"),
+    ],
+)
+def test_number_flags_name_their_bound(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"ktseg {argv[0]}: error: {message}"
 
 
 @pytest.mark.parametrize("flag", [["--max-segments", "2"], ["--penalty-weight", "5"]])

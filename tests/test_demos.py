@@ -15,8 +15,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs_clean(demo, tmp_path):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONWARNINGS"] = "error"  # the demo and any process it starts
     res = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
+        [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         env=env,

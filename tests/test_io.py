@@ -276,6 +276,17 @@ def test_binary_non_finite_location(tmp_path):
         read_features(path)
 
 
+def test_binary_write_refuses_values_past_float32(tmp_path):
+    # The reader refuses a non-finite float32, so the writer refuses a value that narrows to one.
+    path = tmp_path / "a.ktsf"
+    with pytest.raises(NonFiniteValueError, match=re.escape(f"{path}: value at row 2, column 2 overflows float32")):
+        write_features(FeatureSequence(values=[[1.0, 2.0], [3.0, -1e39]]), path)
+    assert list(tmp_path.iterdir()) == []
+    largest = float(np.finfo(np.float32).max)
+    write_features(FeatureSequence(values=[[largest, -largest]]), path)
+    assert read_features(path).values.tolist() == [[largest, -largest]]
+
+
 def test_binary_read_widens_the_payload_without_extra_copies(tmp_path):
     n, d = 2000, 64
     payload = np.random.default_rng(4).standard_normal((n, d)).astype("<f4")
@@ -534,8 +545,18 @@ def test_write_errors_carry_path_context(tmp_path):
     with pytest.raises(OSError, match="not a file path"):
         write_plan(plan, "")
     missing_dir = tmp_path / "nope" / "plan.json"
-    with pytest.raises(OSError, match="plan.json"):
-        write_plan(plan, missing_dir)
+    messages = []
+
+    def attempt():  # the temporary file's name carries the process and the thread
+        with pytest.raises(OSError, match="plan.json") as err:
+            write_plan(plan, missing_dir)
+        messages.append(str(err.value))
+
+    attempt()
+    other = threading.Thread(target=attempt)
+    other.start()
+    other.join()
+    assert messages[0] == messages[1] == f"cannot write {missing_dir}: No such file or directory"
 
 
 def test_threads_writing_one_path_do_not_share_a_temporary_file(tmp_path):

@@ -177,7 +177,7 @@ def test_generator_is_bit_deterministic():
 def test_generator_zero_noise_is_piecewise_constant_and_recoverable():
     inst = generate(base_config(noise_sigma=0.0))
     values = inst.features.values
-    bounds = (0, *inst.true_change_points, inst.config.n)
+    bounds = (0, *inst.true_change_points, inst.features.n)
     for a, b in zip(bounds[:-1], bounds[1:]):
         assert (values[a:b] == values[a]).all()
     seg = solve_fixed(table_for(values), 4)
@@ -201,7 +201,7 @@ def test_generator_respects_min_segment_length():
 
 def test_generator_mean_separation_honored():
     inst = generate(base_config(noise_sigma=0.0, mean_separation=2.5))
-    bounds = (0, *inst.true_change_points, inst.config.n)
+    bounds = (0, *inst.true_change_points, inst.features.n)
     means = np.array([inst.features.values[a] for a, _ in zip(bounds[:-1], bounds[1:])])
     for i in range(len(means)):
         for j in range(i + 1, len(means)):

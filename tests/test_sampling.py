@@ -52,8 +52,13 @@ def test_candidates_round_half_away():
 
 
 def test_candidates_clamped_to_timeline():
-    tl = VideoTimeline(duration_seconds=3.0, source_fps=10.0, frame_count=25)
+    tl = VideoTimeline(duration_seconds=3.0, source_fps=10.0)
     assert [c.source_frame for c in candidate_timestamps(tl, 1.0)] == [0, 10, 20]
+
+
+def test_last_candidate_rounds_past_the_last_frame_and_is_clamped():
+    # floor(2.04 * 10) = 20 frames, 0..19; the candidate at 2.0 s rounds to frame 20.
+    assert [c.source_frame for c in candidate_timestamps(timeline(2.04, fps=10.0), 1.0)] == [0, 10, 19]
 
 
 def test_candidates_reject_bad_rate():

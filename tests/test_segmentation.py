@@ -131,7 +131,7 @@ def test_gram_forms_its_row_norms_once(kernel):
     with mock.patch.object(segmentation, "np", FailingCall("einsum", 1)):
         assert sum(1 for _ in gram.blocks()) == 3
         if kernel.kind == "rbf":
-            segmentation._equal_split_total(gram, 3)
+            segmentation._split_total(gram, (0, 100, 200, 300))
 
 
 def test_rbf_kernel_values_past_float64_are_zero():
@@ -932,12 +932,52 @@ def test_solve_auto_rejects_bad_weight():
             solve_auto(table, 2, penalty_weight=weight)
 
 
+def parent_equal_split_total(gram, m):
+    """The equal-length split's total as ``solve_auto`` formed it before ``_split_total`` took bounds."""
+    x, n, kernel = gram.rows, gram.n, gram.kernel
+    total = 0.0
+    for a, b in zip([k * n // m for k in range(m)], [k * n // m for k in range(1, m + 1)]):
+        w = x[a:b]
+        if kernel.kind == "rbf" and b - a <= segmentation._BLOCK_ENDS:
+            total += (b - a) - float(segmentation._kernel_values(gram, slice(a, b), slice(a, b)).sum()) / (b - a)
+            continue
+        dev = w - w.mean(axis=0)
+        scatter = float(np.einsum("ij,ij->", dev, dev))
+        total += min(b - a - 1.0, scatter / kernel.bandwidth**2) if kernel.kind == "rbf" else scatter
+    return total
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)],
+    ids=["dot", "cosine", "rbf"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 11, 64])  # n = 600: windows of 600 to 150 rows, then 120 to 9
+def test_split_total_of_the_uniform_split_keeps_its_bits(kernel, m):
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(29).standard_normal((600, 6)) + 2.0), kernel)
+    split = segmentation._split_total(gram, (0, *uniform_change_points(600, m), 600))
+    assert split.hex() == parent_equal_split_total(gram, m).hex()
+
+
+@pytest.mark.parametrize("n, m_max, weight", [(50, 50, 1.7e308), (50, 8, 1e308), (3, 3, 1e308)])
+def test_solve_auto_penalty_past_float64_forms_no_ceilings(n, m_max, weight):
+    # The larger counts' penalties overflow to inf; under the suite's warnings-as-errors an
+    # inf - inf ceiling fails here. The answer stays the first minimiser over solve_range.
+    source = compute_gram(FeatureSequence(values=np.random.default_rng(31).standard_normal((n, 4))))
+    auto = solve_auto(source, m_max, weight)
+    curve = solve_range(source, range(1, m_max + 1))
+    totals = [seg.objective + segment_count_penalty(seg.m, n, weight) for seg in curve]
+    best = curve[totals.index(min(totals))]
+    assert math.isinf(totals[-1])
+    assert (auto.m, auto.change_points, auto.objective.hex()) == (best.m, best.change_points, best.objective.hex())
+
+
 def test_solve_auto_clamps_m_max_to_what_fits():
     rng = np.random.default_rng(24)
     source = compute_gram(FeatureSequence(values=rng.standard_normal((20, 3))))
     assert solve_auto(source, 32) == solve_auto(source, 20)
     assert solve_auto(source, 32, min_segment_length=3) == solve_auto(source, 6, min_segment_length=3)
-    with pytest.raises(InfeasibleSegmentCountError):
+    with pytest.raises(InfeasibleSegmentCountError, match="^cannot cut 20 candidates into 0 segments of length >= 1$"):
         solve_auto(source, 0)
     with pytest.raises(InfeasibleSegmentCountError):
         solve_auto(source, 4, min_segment_length=21)
