@@ -10,6 +10,7 @@ same directory and are renamed into place.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -54,15 +55,16 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     if not path.name:
         raise OSError(f"cannot write to {str(path)!r}: not a file path")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    # A name that does not grow with the target's, so any name the file system accepts can be written.
+    tmp = path.with_name(f".ktseg-{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror}") from exc  # not the temporary file's name
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the cleanup never replaces the error above
+            tmp.unlink()
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -142,14 +144,11 @@ def _require(doc: dict, key: str, kinds, path) -> object:
     return value
 
 
-def _int_list(doc: dict, key: str, path) -> list[int]:
+def _list_of(doc: dict, key: str, kinds, noun: str, path) -> list:
     value = _require(doc, key, list, path)
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaMismatchError(f"{path}: field {key!r} must hold integers")
-        out.append(v)
-    return out
+    if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in value):
+        raise SchemaMismatchError(f"{path}: field {key!r} must hold {noun}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def _segmentation_of(doc: dict, path: str | Path) -> Segmentation:
         return Segmentation(
             n=int(_require(doc, "n", int, path)),
             m=int(_require(doc, "m", int, path)),
-            change_points=tuple(_int_list(doc, "changePoints", path)),
+            change_points=tuple(_list_of(doc, "changePoints", int, "integers", path)),
             objective=float(_require(doc, "objective", (int, float), path)),
             penalty=float(_require(doc, "penalty", (int, float), path)),
             penalty_weight=float(_require(doc, "penaltyWeight", (int, float), path)),
@@ -351,17 +350,15 @@ def read_plan(path: str | Path) -> SamplingPlan:
     for raw in raw_segments:
         if not isinstance(raw, dict):
             raise SchemaMismatchError(f"{path}: segment entries must be objects")
-        rng = _int_list(raw, "candidateRange", path)
+        rng = _list_of(raw, "candidateRange", int, "integers", path)
         if len(rng) != 2:
             raise SchemaMismatchError(f"{path}: candidateRange must have two entries")
-        ts = _require(raw, "sourceTimestamps", list, path)
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in ts):
-            raise SchemaMismatchError(f"{path}: sourceTimestamps must hold reals")
+        ts = _list_of(raw, "sourceTimestamps", (int, float), "reals", path)
         segments.append(
             dict(
                 candidate_range=(rng[0], rng[1]),
-                sampled_candidates=tuple(_int_list(raw, "sampledCandidates", path)),
-                source_frames=tuple(_int_list(raw, "sourceFrames", path)),
+                sampled_candidates=tuple(_list_of(raw, "sampledCandidates", int, "integers", path)),
+                source_frames=tuple(_list_of(raw, "sourceFrames", int, "integers", path)),
                 source_timestamps=tuple(float(t) for t in ts),
             )
         )
@@ -394,7 +391,8 @@ def read_truth(path: str | Path) -> GroundTruth:
 
 
 def _truth_of(doc: dict, path: str | Path) -> GroundTruth:
-    n, change_points = int(_require(doc, "n", int, path)), _int_list(doc, "changePoints", path)
+    n = int(_require(doc, "n", int, path))
+    change_points = _list_of(doc, "changePoints", int, "integers", path)
     try:
         Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
     except InvariantViolationError as exc:

@@ -7,12 +7,12 @@ parsimony penalty.
 
 One scatter source feeds the DP and the KTS-versus-uniform comparison:
 ``compute_gram`` keeps the Gram matrix implicit in the kernel's input rows,
-and its ``blocks`` form the kernel columns one block of 128 window end
-indices at a time, one matmul per block, and turn them into scatters by O(n)
-running sums of squared pairwise kernel distances (``_scatter_blocks``):
-a solve needs O(m*n) memory. Chosen windows (``_WindowGather``) are read
-off the blocks of the solve they feed, so a comparison makes no pass of
-its own; the brute-force oracle reads its windows off one pass too.
+and ``GramMatrix.blocks`` forms the kernel columns one block of 128 window
+end indices at a time and turns them into scatters by O(n) running sums of
+squared pairwise kernel distances: a solve needs O(m*n) memory. Chosen
+windows (``_WindowGather``) are read off the blocks of the solve they feed,
+so a comparison makes no pass of its own; the brute-force oracle reads its
+windows off one pass too.
 ``build_variance_table`` writes the same blocks down: its ``VarianceTable``
 is a ``GramMatrix`` whose (n+1)^2 array, the only O(n^2) one, answers
 ``placement_objective``, the tests and the benchmark in O(1) a window; no CLI
@@ -191,18 +191,57 @@ class GramMatrix:
         return float(self.diag.sum())
 
     def blocks(self, start: Callable[[], int] = lambda: 0) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices; see :func:`_scatter_blocks`.
+        """Window scatters in column blocks of ``_BLOCK_ENDS`` end indices: the one scatter arithmetic.
 
         Yields (e0, c0, v) for e0 = 1, 1 + _BLOCK_ENDS, ...: v[j, t - c0] is the
         scatter of window [t, e0 + j) for c0 <= t < e0 + j, with one column per
         start index c0 <= t < e1 - 1 (e1 = e0 + len(v)); entries with
-        t >= e0 + j are unspecified. c0 is at most ``start()`` (0 by default),
-        the lowest start the caller will still read, which must never decrease;
-        it is read once before each block, on the calling thread. Only a solve's
-        prefetched pass (:func:`_solve_rows`) reads it on a worker, maybe a block
-        late. v is a scratch buffer the caller may overwrite, reused by a later block.
+        t >= e0 + j are unspecified. ``start()`` (0 by default) is the lowest
+        start the caller will still read, which must never decrease; it is read
+        once before each block, on the calling thread (only a solve's prefetched
+        pass, :func:`_solve_rows`, reads it on a worker, maybe a block late). c0
+        is that bound capped at the block's last tile edge and rounded down to a
+        tile edge; running sums below it are never read again. v is a scratch
+        buffer the caller may overwrite; blocks alternate between two buffers,
+        so a prefetched pass may hold block b while its worker computes b + 1.
+
+        One matmul per tile forms the kernel column of each end e = e0 + j,
+        K(e-1, s) for c0 <= s < cols, and turns it into squared kernel distances
+        d2(s, e-1); only s < e-1 is read. Running pair sums follow
+
+            P(t, e) = P(t, e-1) + sum_{t <= s < e-1} d2(s, e-1),
+            d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
+
+        and the scatter of [t, e) is P(t, e) / (e - t), so its rounding depends on
+        the window's own rows only. Entries with t >= e-1 come out exactly 0.
+        Raises PrecisionLossError when a raw scatter the block forms falls below -1e-9.
         """
-        return _scatter_blocks(self, start)
+        diag, n = self.diag, self.n
+        w_max = min(_BLOCK_ENDS, n)
+        pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
+        lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
+        upper = np.arange(w_max) >= np.arange(w_max)[:, None]
+        bufs = np.empty(w_max * n), np.empty(w_max * n)
+        for b, e0 in enumerate(range(1, n + 1, _BLOCK_ENDS)):
+            w, cols = min(_BLOCK_ENDS, n + 1 - e0), min(e0 + _BLOCK_ENDS, n + 1) - 1
+            c0 = max(min(start(), cols - _TILE), 0) // _TILE * _TILE
+            k = bufs[b % 2][: w * (cols - c0)].reshape(w, cols - c0)
+            edges = [*range(c0, max(cols - _TILE, c0) + 1, _TILE), cols]  # the last tile takes the rest
+            for s0, s1 in zip(edges[:-1], edges[1:]):
+                _kernel_values(self, slice(e0 - 1, cols), slice(s0, s1), out=k[:, s0 - c0 : s1 - c0])
+            k *= -2.0
+            k += diag[c0:cols]
+            k += diag[e0 - 1 : cols, None]  # k[j, s - c0] = d2(s, e-1) for e = e0 + j
+            np.copyto(k[:, e0 - 1 - c0 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
+            np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new pairs
+            k[0] += pairs[c0:cols]
+            for j in range(1, w):
+                k[j] += k[j - 1]  # k[j, t - c0] = P(t, e0 + j)
+            pairs[c0:cols] = k[-1]
+            k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols + c0 : n + w - 1], cols - c0)[::-1]
+            _check_precision(k)
+            np.maximum(k, 0.0, out=k)
+            yield e0, c0, k
 
 
 @dataclass(frozen=True)
@@ -229,57 +268,6 @@ class VarianceTable(GramMatrix):
         if not (0 <= a < b <= self.n):
             raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
         return float(self.var_matrix[a, b])
-
-
-def _scatter_blocks(
-    gram: GramMatrix, start: Callable[[], int] = lambda: 0
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The one scatter arithmetic, computed in place in reused buffers.
-
-    Yields the blocks of :meth:`GramMatrix.blocks` for ``gram``. One matmul per
-    tile forms the kernel column of each end e = e0 + j, K(e-1, s) for
-    c0 <= s < cols, and turns it into squared kernel distances d2(s, e-1);
-    only s < e-1 is read. c0 is ``start()``, read once per block, capped at
-    the block's last tile edge and rounded down to a tile edge, so it never
-    decreases and running sums below it are never read again. Running pair
-    sums follow
-
-        P(t, e) = P(t, e-1) + sum_{t <= s < e-1} d2(s, e-1),
-        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
-
-    and the scatter of [t, e) is P(t, e) / (e - t), so its rounding depends on
-    the window's own rows only. Entries with t >= e-1 come out exactly 0.
-    Blocks alternate between two buffers, so a solve's prefetched pass (see
-    :func:`_solve_rows`) may hold (and overwrite) block b while its worker
-    computes block b + 1. Raises PrecisionLossError when a raw scatter the
-    block forms falls below -1e-9.
-    """
-    diag, n = gram.diag, gram.n
-    w_max = min(_BLOCK_ENDS, n)
-    pairs = np.zeros(n)  # P(t, e) for t < e at the last end e seen; 0 beyond
-    lengths = np.maximum(np.arange(n, -w_max, -1), 1.0)  # [n - e + t]: length of [t, e)
-    upper = np.arange(w_max) >= np.arange(w_max)[:, None]
-    bufs = np.empty(w_max * n), np.empty(w_max * n)
-    for b, e0 in enumerate(range(1, n + 1, _BLOCK_ENDS)):
-        w, cols = min(_BLOCK_ENDS, n + 1 - e0), min(e0 + _BLOCK_ENDS, n + 1) - 1
-        c0 = max(min(start(), cols - _TILE), 0) // _TILE * _TILE
-        k = bufs[b % 2][: w * (cols - c0)].reshape(w, cols - c0)
-        edges = [*range(c0, max(cols - _TILE, c0) + 1, _TILE), cols]  # the last tile takes the rest
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            _kernel_values(gram, slice(e0 - 1, cols), slice(s0, s1), out=k[:, s0 - c0 : s1 - c0])
-        k *= -2.0
-        k += diag[c0:cols]
-        k += diag[e0 - 1 : cols, None]  # k[j, s - c0] = d2(s, e-1) for e = e0 + j
-        np.copyto(k[:, e0 - 1 - c0 :], 0.0, where=upper[:w, :w])  # keep s < e0 + j - 1
-        np.cumsum(k[:, ::-1], axis=1, out=k[:, ::-1])  # suffix sums over s >= t: new pairs
-        k[0] += pairs[c0:cols]
-        for j in range(1, w):
-            k[j] += k[j - 1]  # k[j, t - c0] = P(t, e0 + j)
-        pairs[c0:cols] = k[-1]
-        k /= np.lib.stride_tricks.sliding_window_view(lengths[n - cols + c0 : n + w - 1], cols - c0)[::-1]
-        _check_precision(k)
-        np.maximum(k, 0.0, out=k)
-        yield e0, c0, k
 
 
 class _WindowGather:
@@ -493,26 +481,25 @@ def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> f
 def _split_total(gram: GramMatrix, bounds: Sequence[int]) -> float:
     """An upper bound on the total scatter of the split at ``bounds`` (0, t_1, ..., n), off the rows.
 
-    The windows [bounds[k], bounds[k+1]) are added left to right from 0.0.
-    For dot and cosine it is the total itself: each window's scatter is its
-    rows' squared distances to their mean, O(n*d) in all. For rbf a window
-    of at most ``_BLOCK_ENDS`` rows takes L less its kernel mass over L,
-    O(n*_BLOCK_ENDS*d) in all; a longer one takes a bound in O(L*d): each
-    pair's d2 = 2 - 2*exp(-u) is at most 2 and at most 2u, its squared
+    The windows [bounds[k], bounds[k+1]) are summed as the DP sums them
+    (:func:`_dp_sum`). For dot and cosine it is the total itself: each window's
+    scatter is its rows' squared distances to their mean, O(n*d) in all. For
+    rbf a window of at most ``_BLOCK_ENDS`` rows takes L less its kernel mass
+    over L, O(n*_BLOCK_ENDS*d) in all; a longer one takes a bound in O(L*d):
+    each pair's d2 = 2 - 2*exp(-u) is at most 2 and at most 2u, its squared
     distance over bw^2. Either rounds within the block arithmetic's bound of
     exact, not to its bits.
     """
     x, kernel = gram.rows, gram.kernel
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        w = x[a:b]
+
+    def scatter(a: int, b: int) -> float:
         if kernel.kind == "rbf" and b - a <= _BLOCK_ENDS:
-            total += (b - a) - float(_kernel_values(gram, slice(a, b), slice(a, b)).sum()) / (b - a)
-            continue
-        dev = w - w.mean(axis=0)
-        scatter = float(np.einsum("ij,ij->", dev, dev))
-        total += min(b - a - 1.0, scatter / kernel.bandwidth**2) if kernel.kind == "rbf" else scatter
-    return total
+            return (b - a) - float(_kernel_values(gram, slice(a, b), slice(a, b)).sum()) / (b - a)
+        dev = x[a:b] - x[a:b].mean(axis=0)
+        sq = float(np.einsum("ij,ij->", dev, dev))
+        return min(b - a - 1.0, sq / kernel.bandwidth**2) if kernel.kind == "rbf" else sq
+
+    return _dp_sum(scatter(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def _dp_sum(scatters: Iterable[float]) -> float:
@@ -601,7 +588,7 @@ def _solve_rows(
 
     Each block starts at the lowest lo[i] of a row with ends left, n once no row has any:
     starts below it are never read again, so a late block changes no cell. Its blocks are the
-    full pass's bit for bit (see :func:`_scatter_blocks`). From four blocks on, a worker thread
+    full pass's bit for bit (see :meth:`GramMatrix.blocks`). From four blocks on, a worker thread
     forms each block one ahead (:func:`_prefetched`) and may read the bound a block late. Its
     overlap needs a second free core: on one, subprocess pairs showed it pay at no n from 400
     to 3,600 and lose two pairs in three at n = 400, so smaller solves start none.

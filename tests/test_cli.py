@@ -109,6 +109,28 @@ def test_segment_auto_penalty_past_float64_warns_nothing(tmp_path, config, weigh
     assert out.read_bytes() == want.read_bytes()
 
 
+def test_segment_writes_any_name_the_file_system_accepts(blocks_csv, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / ("p" * (os.pathconf(out_dir, "PC_NAME_MAX") - 15) + ".json")  # 245 bytes at 255
+    res = run_cli("segment", "--features", blocks_csv, "--m", 2, "--out", out)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    assert json.loads(out.read_text())["changePoints"] == [2]
+    assert list(out_dir.iterdir()) == [out]
+
+
+def test_segment_auto_requires_max_segments(tmp_path, capsys):
+    argv = ["segment", "--features", str(tmp_path / "nope.csv"), "--auto", "--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exit_:  # refused before the (missing) features are read
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: ktseg [-h] {segment,plan,synth,eval,oracle-check,sweep} ...",
+        "ktseg: error: --auto requires --max-segments",
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_segment_mode_conflict(blocks_csv, tmp_path):
     res = run_cli(
         "segment", "--features", blocks_csv, "--m", 2, "--auto",
@@ -696,6 +718,15 @@ def test_oracle_check_refuses_large_instances_before_solving(tmp_path, monkeypat
     ]
 
 
+def test_oracle_check_reports_a_mismatch(blocks_csv, monkeypatch, capsys):
+    def other(gram, m, min_segment_length):
+        return Segmentation(n=gram.n, m=m, change_points=(1,), objective=0.5)
+
+    monkeypatch.setattr(cli, "brute_force", other)
+    assert cli.main(["oracle-check", "--features", str(blocks_csv), "--m", "2"]) == 1
+    assert capsys.readouterr().out == "MISMATCH dp=[2] (0) bf=[1] (0.5)\n"
+
+
 def test_oracle_check_constant_features_take_leftmost(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("3,3\n" * 7)
@@ -736,13 +767,13 @@ def test_sweep_dominance(tmp_path):
 
 def test_sweep_makes_one_block_pass_per_seed(tmp_path, monkeypatch, capsys):
     passes = []
-    scatter_blocks = segmentation._scatter_blocks
+    scatter_blocks = segmentation.GramMatrix.blocks
 
     def counted(*args):
         passes.append(args)
         return scatter_blocks(*args)
 
-    monkeypatch.setattr(segmentation, "_scatter_blocks", counted)
+    monkeypatch.setattr(segmentation.GramMatrix, "blocks", counted)
     monkeypatch.setattr(segmentation, "_BLOCK_ENDS", 5)
     argv = ["sweep", "--seeds", "2", "--n", "48", "--d", "4", "--segments", "4",
             "--separation", "1.0", "--sigma", "0.05", "--out", str(tmp_path / "s.csv")]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import struct
 import threading
@@ -381,7 +382,7 @@ def plan_with_segment(**fields):
          "field 'changePoints' must hold integers"),
         (read_plan, {**plan_with_segment(), "segments": [[0, 2]]}, "segment entries must be objects"),
         (read_plan, plan_with_segment(candidateRange=[0, 1, 2]), "candidateRange must have two entries"),
-        (read_plan, plan_with_segment(sourceTimestamps=["0", 1.0]), "sourceTimestamps must hold reals"),
+        (read_plan, plan_with_segment(sourceTimestamps=["0", 1.0]), "field 'sourceTimestamps' must hold reals"),
     ],
     ids=["invalid JSON", "top-level array", "wrong type", "non-integer list", "segment not an object",
          "three-entry candidate range", "string timestamp"],
@@ -559,6 +560,32 @@ def test_write_errors_carry_path_context(tmp_path):
     assert messages[0] == messages[1] == f"cannot write {missing_dir}: No such file or directory"
 
 
+def test_writes_take_any_name_the_file_system_accepts(tmp_path):
+    # The temporary file's name does not grow with the target's: 245 bytes at NAME_MAX 255.
+    path = tmp_path / ("p" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 15) + ".json")
+    write_truth(GroundTruth(n=5, change_points=(2,), seed=1), path)
+    assert read_truth(path) == GroundTruth(n=5, change_points=(2,), seed=1)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        (lambda d: d / ("p" * (os.pathconf(d, "PC_NAME_MAX") + 45) + ".json"), "File name too long"),
+        (lambda d: d, "Is a directory"),
+    ],
+    ids=["name too long", "directory"],
+)
+def test_failed_writes_name_the_target_and_leave_nothing(tmp_path, target, reason):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = target(out)
+    with pytest.raises(OSError) as err:
+        write_truth(GroundTruth(n=5, change_points=(2,), seed=1), path)
+    assert str(err.value) == f"cannot write {path}: {reason}"
+    assert list(tmp_path.rglob("*")) == [out]  # no temporary file, next to the target or in it
+
+
 def test_threads_writing_one_path_do_not_share_a_temporary_file(tmp_path):
     path, payloads = tmp_path / "t.json", [b"a" * 4096, b"b" * 8192]
     errors = []
@@ -595,6 +622,11 @@ def test_render_document_rejects_non_finite():
 def test_render_document_refuses_values_it_cannot_render():
     with pytest.raises(TypeError, match="cannot render set as JSON"):
         render_document({"x": {1, 2}})
+
+
+def test_render_document_renders_booleans_and_empty_containers():
+    doc = {"yes": True, "no": False, "none": {}, "empty": []}
+    assert render_document(doc) == '{\n  "yes": true,\n  "no": false,\n  "none": {},\n  "empty": []\n}\n'
 
 
 def test_render_document_numpy_scalars_match_builtins():

@@ -28,7 +28,7 @@ from ktseg import (
     solve_fixed,
     solve_range,
 )
-from ktseg import segmentation
+from ktseg import metrics, segmentation
 
 
 def table_for(values):
@@ -369,6 +369,15 @@ def test_comparison_misaligned_blocks():
     comp = objective_comparison(table_for([[1, 0], [1, 0], [1, 0], [0, 1]]), 2)
     assert comp.kts_objective == 0.0
     assert comp.uniform_objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_comparison_refuses_an_objective_above_the_uniform_split():
+    gather = metrics._uniform_gather(compute_gram(FeatureSequence(values=[[1, 0], [1, 0], [1, 0], [0, 1]])), [2])
+    for _ in gather.blocks():
+        pass
+    seg = segmentation.Segmentation(n=4, m=2, change_points=(1,), objective=2.0)
+    with pytest.raises(RuntimeError, match=r"^optimal objective 2\.0 exceeds uniform split 1\.0; solver bug$"):
+        metrics._against_uniform([seg], gather)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

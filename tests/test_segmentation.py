@@ -493,7 +493,7 @@ def test_window_gather_caps_the_start_at_its_lowest_unread_window():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(42).standard_normal((768, 3))))
     windows = [(0, 5), (520, 700), (300, 500), (600, 768), (530, 690)]
     table = build_variance_table(gram)
-    starts, scatter_blocks = [], segmentation._scatter_blocks
+    starts, scatter_blocks = [], segmentation.GramMatrix.blocks
 
     def recording(*args):
         for e0, c0, v in scatter_blocks(*args):
@@ -503,7 +503,7 @@ def test_window_gather_caps_the_start_at_its_lowest_unread_window():
     gather = segmentation._WindowGather(gram, windows)
     # Three blocks of 256 ends, under the four that start a worker, so each start is read in time.
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 256):
-        with mock.patch.object(segmentation, "_scatter_blocks", recording):
+        with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
             for _ in gather.blocks(lambda: 10**9):  # a consumer that reads no start itself
                 pass
     # The lowest start of a window not yet read (0, then 300, then 520), capped at the block's
@@ -540,7 +540,7 @@ def test_uniform_comparison_holds_less_than_a_quarter_table():
 def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
     n, passes = 60, []
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(15).standard_normal((n, 3))))
-    scatter_blocks = segmentation._scatter_blocks
+    scatter_blocks = segmentation.GramMatrix.blocks
 
     def counted(*args):
         passes.append(args)
@@ -550,7 +550,7 @@ def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
         table = build_variance_table(gram)
         for m in (1, 4, 9, n):
             passes.clear()
-            with mock.patch.object(segmentation, "_scatter_blocks", counted):
+            with mock.patch.object(segmentation.GramMatrix, "blocks", counted):
                 comparison = metrics.objective_comparison(gram, m)
             assert len(passes) == 1, "the uniform windows must be read off the solve's own pass"
             want = placement_objective(table, uniform_change_points(n, m))
@@ -704,9 +704,9 @@ def test_start_bounded_blocks_equal_the_full_pass_bit_for_bit(d, kernel, n, sche
     # A late start at a tile edge makes the very matmuls of the full pass, so this holds
     # on any BLAS. Narrower matmuls at any column, aligned or not, need not.
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(d).standard_normal((n, d))), kernel)
-    full = [(e0, v.copy()) for e0, _, v in segmentation._scatter_blocks(gram)]
+    full = [(e0, v.copy()) for e0, _, v in gram.blocks()]
     calls = iter(schedule)
-    got = [(e0, c0, v.copy()) for e0, c0, v in segmentation._scatter_blocks(gram, lambda: next(calls))]
+    got = [(e0, c0, v.copy()) for e0, c0, v in gram.blocks(lambda: next(calls))]
     assert [c0 for _, c0, _ in got] == want_starts
     assert [e0 for e0, _, _ in got] == [e0 for e0, _ in full]
     for (e0, c0, v), (_, want) in zip(got, full):
@@ -717,14 +717,14 @@ def test_scatter_blocks_start_no_thread():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
         with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
-            ends = [e0 for e0, _, _ in segmentation._scatter_blocks(gram)]
+            ends = [e0 for e0, _, _ in gram.blocks()]
     assert ends == list(range(1, 41, 4))
 
 
 def test_held_block_is_unchanged_after_the_worker_computes_the_next():
     stream = compute_gram(FeatureSequence(values=np.random.default_rng(7).standard_normal((40, 3))))
     produced, finished = {}, {e0: threading.Event() for e0 in range(1, 41, 4)}
-    scatter_blocks = segmentation._scatter_blocks
+    scatter_blocks = segmentation.GramMatrix.blocks
 
     def recording(*args):
         for e0, c0, raw in scatter_blocks(*args):
@@ -734,7 +734,7 @@ def test_held_block_is_unchanged_after_the_worker_computes_the_next():
 
     seen = []
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
-        with mock.patch.object(segmentation, "_scatter_blocks", recording):
+        with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
             blocks = segmentation._prefetched(stream.blocks())
         for e0, _, held in blocks:
             if e0 + 4 in finished:
@@ -884,6 +884,7 @@ def test_solve_range_matches_individual_solves():
             single = solve_fixed(gram, m, min_len)
             assert seg.change_points == single.change_points
             assert seg.objective == single.objective == every[m, 20]
+    assert solve_range(gram, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1037,7 @@ def test_solve_auto_stops_rows_and_starts_late_blocks_above_column_0():
     n = 1000
     gram = compute_gram(FeatureSequence(values=planted_steps(n, 4, 10, 41)))
     starts, rows = [], []
-    scatter_blocks, solve_rows = segmentation._scatter_blocks, segmentation._solve_rows
+    scatter_blocks, solve_rows = segmentation.GramMatrix.blocks, segmentation._solve_rows
 
     def recording(*args):
         for e0, c0, v in scatter_blocks(*args):
@@ -1048,7 +1049,7 @@ def test_solve_auto_stops_rows_and_starts_late_blocks_above_column_0():
         rows.append(cost.copy())
         return cost, back
 
-    with mock.patch.object(segmentation, "_scatter_blocks", recording):
+    with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
         with mock.patch.object(segmentation, "_solve_rows", capturing):
             auto = solve_auto(gram, 16)
     curve = solve_range(gram, range(1, 17))
@@ -1068,16 +1069,16 @@ def test_solve_auto_stops_rows_and_starts_late_blocks_above_column_0():
 
 def with_and_without_start_bound(solve):
     """``solve()``, the start column of each block it read, and ``solve()`` on blocks pinned to column 0."""
-    starts, scatter_blocks = [], segmentation._scatter_blocks
+    starts, scatter_blocks = [], segmentation.GramMatrix.blocks
 
     def recording(gram, start=None):
         for e0, c0, v in scatter_blocks(gram, start):
             starts.append(c0)
             yield e0, c0, v
 
-    with mock.patch.object(segmentation, "_scatter_blocks", recording):
+    with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
         bounded = solve()
-    with mock.patch.object(segmentation, "_scatter_blocks", lambda gram, start=None: scatter_blocks(gram)):
+    with mock.patch.object(segmentation.GramMatrix, "blocks", lambda gram, start=None: scatter_blocks(gram)):
         pinned = solve()
     return bounded, starts, pinned
 
@@ -1177,14 +1178,14 @@ def test_solve_auto_can_pick_the_forced_count():
 
 def test_forced_count_alone_takes_one_block_pass_and_no_dp_row():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(31).standard_normal((30, 3))))
-    passes, calls, scatter_blocks = [], [], segmentation._scatter_blocks
+    passes, calls, scatter_blocks = [], [], segmentation.GramMatrix.blocks
 
     def counted(*args):
         passes.append(args)
         return scatter_blocks(*args)
 
     table = build_variance_table(gram)
-    with mock.patch.object(segmentation, "_scatter_blocks", counted), recorded_rows(calls):
+    with mock.patch.object(segmentation.GramMatrix, "blocks", counted), recorded_rows(calls):
         seg = solve_fixed(gram, 10, 3)
     assert (len(passes), calls) == (1, [[]])  # one sweep, asked for no count: row 0 alone
     assert seg.change_points == (3, 6, 9, 12, 15, 18, 21, 24, 27)
