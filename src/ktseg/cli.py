@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds (0..seeds-1)")
     sweep.add_argument("--tolerance", type=_nonnegative_int, default=2)
     sweep.add_argument("--out", required=True, help="CSV to write")
+    for command in sub.choices.values():  # misuse found after parsing is reported in its command's voice
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -260,10 +262,9 @@ def _cmd_sweep(parser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(parser, args)
+        return args.run(args.parser, args)
     except (KtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

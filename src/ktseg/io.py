@@ -19,6 +19,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from ._lazy import lazy_numpy
 from .errors import (
@@ -71,6 +72,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+@contextlib.contextmanager
+def _reading(path: str | Path) -> Iterator[None]:
+    """A failed read of ``path`` in the block, worded like a failed write: ``cannot read PATH: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 # ---------------------------------------------------------------------------
 # JSON rendering. The stdlib encoder cannot format floats, so documents are
 # rendered by hand: reals as %.17g (lossless for float64), everything else
@@ -120,7 +130,8 @@ def _load_json(path: str | Path, *schemas: str) -> dict:
         return lambda s: reject(s, " within float64 range") if math.isinf(float(s)) else parse(s)
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with _reading(path):
+            text = Path(path).read_text(encoding="utf-8")
         doc = json.loads(text, parse_constant=reject, parse_float=finite(float), parse_int=finite(int))
     except UnicodeDecodeError:
         raise SchemaMismatchError(f"{path}: not UTF-8 text, so not a JSON document") from None
@@ -193,28 +204,30 @@ def _read_features_csv(path: Path) -> FeatureSequence:
     ``FeatureSequence`` meets a non-finite value in what loadtxt read (the
     one finiteness pass): it alone skips whitespace-only lines, accepts every
     ``float()`` literal (such as ``1_0``) and names the row and column of
-    a bad value. Both read UTF-8 with an optional BOM.
+    a bad value. Both read UTF-8 with an optional BOM, off one open of the file.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
+        try:
             rows = any(line.strip() for line in fh)  # loadtxt warns on a file without rows
             fh.seek(0)
             values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None) if rows else None
-    except ValueError:  # also UnicodeDecodeError, reported by the token reader
-        values = None
-    if values is not None:
+        except ValueError:  # also UnicodeDecodeError, reported below
+            values = None
+        if values is not None:
+            try:
+                return FeatureSequence(values=values)
+            except NonFiniteValueError:
+                pass
+        fh.seek(0)
         try:
-            return FeatureSequence(values=values)
-        except NonFiniteValueError:
-            pass
-    return FeatureSequence(values=_read_features_csv_tokens(path))
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise MalformedHeaderError(f"{path}: not UTF-8 text, so not a feature CSV") from None
+    return FeatureSequence(values=_read_features_csv_tokens(text, path))
 
 
-def _read_features_csv_tokens(path: Path) -> list[list[float]]:
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise MalformedHeaderError(f"{path}: not UTF-8 text, so not a feature CSV") from None
+def _read_features_csv_tokens(text: str, path: Path) -> list[list[float]]:
+    """The rows of feature CSV ``text``, read token by token; errors name ``path``."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -253,7 +266,8 @@ def _read_features_csv_tokens(path: Path) -> list[list[float]]:
 
 
 def _read_features_binary(path: Path) -> FeatureSequence:
-    blob = Path(path).read_bytes()
+    with _reading(path):
+        blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise MalformedHeaderError(f"{path}: truncated header ({len(blob)} bytes)")
     magic, version, n, d = _HEADER.unpack_from(blob)

@@ -198,8 +198,8 @@ class GramMatrix:
         start index c0 <= t < e1 - 1 (e1 = e0 + len(v)); entries with
         t >= e0 + j are unspecified. ``start()`` (0 by default) is the lowest
         start the caller will still read, which must never decrease; it is read
-        once before each block, on the calling thread (only a solve's prefetched
-        pass, :func:`_solve_rows`, reads it on a worker, maybe a block late). c0
+        once before each block, on the calling thread (only the DP's block feed,
+        :func:`_dp_blocks`, reads it on a worker, maybe a block late). c0
         is that bound capped at the block's last tile edge and rounded down to a
         tile edge; running sums below it are never read again. v is a scratch
         buffer the caller may overwrite; blocks alternate between two buffers,
@@ -337,6 +337,27 @@ def _prefetched(items: Iterator) -> Iterator:
         finally:
             requests.put(False)
             worker.join()
+
+
+def _dp_blocks(source: GramMatrix, min_len: int, start: Callable[[], int]) -> Iterator:
+    """``source.blocks(start)`` as a DP over segments of at least ``min_len`` reads them.
+
+    Yields (e0, c0, var) for each block with a start t < stop = e0 + len(var) - min_len, the
+    only feasible ones, cut to its starts c0 <= t < stop: var[j, t - c0] is inf for every start
+    t > e0 + j - min_len and else the full pass's scatter of [t, e0 + j), bit for bit. From
+    four blocks on, a worker thread forms each block one ahead (:func:`_prefetched`) and may
+    read ``start`` a block late; closing the feed joins it. Its overlap needs a second free
+    core: on one, subprocess pairs showed it pay at no n from 400 to 3,600 and lose two pairs
+    in three at n = 400, so smaller solves start none.
+    """
+    blocks = source.blocks(start)
+    with closing(_prefetched(blocks) if source.n >= 4 * _BLOCK_ENDS else blocks) as blocks:
+        for e0, c0, var in blocks:
+            t0, stop = e0 - min_len + 1, e0 + len(var) - min_len  # row j takes no start t >= t0 + j
+            if stop > c0:
+                corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, c0) - t0 :]
+                np.copyto(var[:, max(t0, c0) - c0 : stop - c0], np.inf, where=corner)
+                yield e0, c0, var[:, : stop - c0]
 
 
 @dataclass(frozen=True)
@@ -586,12 +607,9 @@ def _solve_rows(
     window of e, and var(t, e) only grows with e, so every later cell
     exceeds the ceiling too, up to rounding.
 
-    Each block starts at the lowest lo[i] of a row with ends left, n once no row has any:
-    starts below it are never read again, so a late block changes no cell. Its blocks are the
-    full pass's bit for bit (see :meth:`GramMatrix.blocks`). From four blocks on, a worker thread
-    forms each block one ahead (:func:`_prefetched`) and may read the bound a block late. Its
-    overlap needs a second free core: on one, subprocess pairs showed it pay at no n from 400
-    to 3,600 and lose two pairs in three at n = 400, so smaller solves start none.
+    Each block of the feed (:func:`_dp_blocks`) starts at the lowest lo[i] of a row with ends
+    left, n once no row has any: starts below it are never read again, so a late block changes
+    no cell.
 
     The rows take 12 bytes a cell (a float64 cost, an int32 backpointer),
     (max(ms) + 1)*(n + 1)*12 in all. The solvers ask for no forced count,
@@ -617,17 +635,9 @@ def _solve_rows(
     live = min(lo[1:], default=n)  # the blocks' start bound
     margin = _rounding_margin(table)
     cand = np.empty(min(_BLOCK_ENDS, n) * n)  # the add/argmin pair of one block and row
-    blocks = table.blocks(lambda: live)
-    with closing(_prefetched(blocks) if n >= 4 * _BLOCK_ENDS else blocks) as blocks:
+    with closing(_dp_blocks(table, min_len, lambda: live)) as blocks:
         for e0, c0, var in blocks:
-            e1 = e0 + var.shape[0]
-            stop = e1 - min_len  # feasible starts of the block's last end lie below
-            if stop <= c0:
-                continue  # no row has a start in this block
-            var = var[:, : stop - c0]
-            t0 = e0 - min_len + 1  # row j takes no start t >= t0 + j: inf only in that corner
-            corner = ~np.tri(len(var), stop - t0, -1, dtype=bool)[:, max(t0, c0) - t0 :]
-            np.copyto(var[:, max(t0, c0) - c0 :], np.inf, where=corner)
+            e1, stop = e0 + len(var), c0 + var.shape[1]  # stop = e1 - min_len
             for i in range(1, m_max + 1):
                 lo_e, lo_t, hi_e = max(e0, i * min_len), lo[i], min(e1, end[i])
                 if lo_e >= e1:

@@ -124,10 +124,9 @@ def test_segment_auto_requires_max_segments(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:  # refused before the (missing) features are read
         cli.main(argv)
     assert exit_.value.code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "usage: ktseg [-h] {segment,plan,synth,eval,oracle-check,sweep} ...",
-        "ktseg: error: --auto requires --max-segments",
-    ]
+    err = capsys.readouterr().err.splitlines()  # the subcommand's usage, however it wraps, and its error
+    assert err[0].startswith("usage: ktseg segment [-h] --features FEATURES ")
+    assert err[-1] == "ktseg segment: error: --auto requires --max-segments"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -148,7 +147,29 @@ def test_segment_missing_file(tmp_path):
     res = run_cli("segment", "--features", tmp_path / "nope.csv", "--m", 2,
                   "--out", tmp_path / "x.json")
     assert res.returncode == 1
-    assert "error" in res.stderr
+    assert res.stderr.splitlines() == [f"error: cannot read {tmp_path / 'nope.csv'}: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("segment", "--features", "{input}.csv", "--m", 2, "--out", "{out}"),
+        ("segment", "--features", "{input}.ktsf", "--m", 2, "--out", "{out}"),
+        ("plan", "--segmentation", "{input}.json", "--k", 2, "--duration", 4.0, "--fps", 30,
+         "--rate", 1, "--out", "{out}"),
+        ("eval", "--pred", "{input}.json", "--truth", "{input}.json"),
+    ],
+    ids=["segment-csv", "segment-ktsf", "plan", "eval"],
+)
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"), ("dir", "Is a directory")])
+def test_unreadable_input_is_worded_like_a_failed_write(tmp_path, command, kind, reason):
+    argv = [str(arg).format(input=tmp_path / kind, out=tmp_path / "out.json") for arg in command]
+    if kind == "dir":
+        Path(argv[2]).mkdir()
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"error: cannot read {argv[2]}: {reason}"]
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_segment_infeasible_m_is_data_error(blocks_csv, tmp_path):
@@ -166,15 +187,23 @@ def test_segment_candidate_cap_env(blocks_csv, tmp_path):
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
-@pytest.mark.parametrize("command", ["segment", "oracle-check"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("segment", "--features", "{missing}", "--m", 2, "--out", "{out}"),
+        ("oracle-check", "--features", "{missing}", "--m", 2),
+        ("sweep", "--n", 10, "--d", 2, "--segments", 2, "--separation", 1, "--sigma", 0.1, "--out", "{out}"),
+    ],
+    ids=["segment", "oracle-check", "sweep"],
+)
 def test_candidate_cap_env_is_checked_before_the_features_are_read(tmp_path, command, value):
     out = tmp_path / "x.json"
-    flags = ["--out", out] if command == "segment" else []
-    res = run_cli(command, "--features", tmp_path / "missing.csv", "--m", 2, *flags,
-                  env_extra={"KTS_MAX_CANDIDATES": value})
+    argv = [str(arg).format(missing=tmp_path / "missing.csv", out=out) for arg in command]
+    res = run_cli(*argv, env_extra={"KTS_MAX_CANDIDATES": value})
     assert res.returncode == 2, res.stderr
     errors = [line for line in res.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "KTS_MAX_CANDIDATES" in errors[0] and value in errors[0], res.stderr
+    assert len(errors) == 1 and errors[0].startswith(f"ktseg {command[0]}: error: KTS_MAX_CANDIDATES")
+    assert value in errors[0], res.stderr
     assert not out.exists()
 
 
@@ -921,5 +950,5 @@ def test_segment_fixed_refuses_auto_only_flags(tmp_path, flag):
     res = run_cli("segment", "--features", path, "--m", 3, *flag, "--out", out)
     assert res.returncode == 2
     errors = [line for line in res.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and flag[0] in errors[0] and "--auto" in errors[0], res.stderr
-    assert not out.exists()
+    assert len(errors) == 1 and errors[0].startswith("ktseg segment: error: " + flag[0]), res.stderr
+    assert "--auto" in errors[0] and not out.exists()

@@ -25,6 +25,7 @@ from ktseg import (
     SegmentSamples,
     Segmentation,
 )
+from ktseg import io as ktseg_io
 from ktseg.io import (
     GroundTruth,
     _read_features_csv_tokens,
@@ -141,7 +142,22 @@ def test_csv_edge_inputs_match_token_reader(tmp_path, data, expected):
     path = tmp_path / "feats.csv"
     path.write_bytes(data)
     assert read_features(path).values.tolist() == expected
-    assert _read_features_csv_tokens(path) == expected
+    assert _read_features_csv_tokens(path.read_text(encoding="utf-8-sig"), path) == expected
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [(b"1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]), (b"1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]])],
+    ids=["numpy reader", "token reader"],
+)
+def test_csv_reader_opens_its_file_once(tmp_path, monkeypatch, data, expected):
+    path, opened = tmp_path / "feats.csv", []
+    path.write_bytes(data)
+    counted = lambda *args, **kwargs: opened.append(args) or open(*args, **kwargs)
+    monkeypatch.setattr(ktseg_io, "open", counted, raising=False)  # the module's own name wins over the builtin
+    monkeypatch.setattr(type(path), "read_text", lambda *args, **kw: pytest.fail("read the file again"))
+    assert read_features(path).values.tolist() == expected
+    assert opened == [(path,)]
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", " \n"])
@@ -204,7 +220,8 @@ def test_csv_fast_reader_is_bit_identical_to_token_reader(tmp_path_factory, rows
     path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
     expected = np.array(rows, dtype=np.float64).view(np.uint64)
     assert np.array_equal(read_features(path).values.view(np.uint64), expected)
-    assert np.array_equal(np.array(_read_features_csv_tokens(path)).view(np.uint64), expected)
+    tokens = _read_features_csv_tokens(path.read_text(encoding="utf-8-sig"), path)
+    assert np.array_equal(np.array(tokens).view(np.uint64), expected)
 
 
 # ---------------------------------------------------------------------------

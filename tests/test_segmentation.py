@@ -713,6 +713,50 @@ def test_start_bounded_blocks_equal_the_full_pass_bit_for_bit(d, kernel, n, sche
         assert v.tobytes() == np.ascontiguousarray(want[:, c0:]).tobytes(), e0
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    min_len=st.integers(1, 4),
+    # One end index per block (one DP step each), a few, or one block at these n.
+    block_ends=st.sampled_from([1, 3, 7, 128]),
+    late=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_dp_feed_is_the_full_pass_cut_to_its_feasible_starts(seed, min_len, block_ends, late):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, 3))))
+    # A rising start bound, or none; tiles of 8 columns let a late start pass column 0 at these n.
+    bounds = iter(np.sort(rng.integers(0, n + 1, n)).tolist() if late else [0] * n)
+    passed, scatter_blocks = [], segmentation.GramMatrix.blocks
+
+    def recording(*args):
+        for e0, c0, v in scatter_blocks(*args):
+            passed.append((e0, c0, len(v)))
+            yield e0, c0, v
+
+    with mock.patch.multiple(segmentation, _BLOCK_ENDS=block_ends, _TILE=max(block_ends, 8)):
+        full = {e0: v.copy() for e0, _, v in gram.blocks()}
+        with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
+            feed = segmentation._dp_blocks(gram, min_len, lambda: next(bounds))
+            fed = [(e0, c0, v.copy()) for e0, c0, v in feed]
+    # Skipped: exactly the blocks whose starts all lie at or past stop = e1 - min_len.
+    assert [e0 for e0, _, _ in fed] == [e0 for e0, c0, w in passed if e0 + w - min_len > c0]
+    for e0, c0, var in fed:
+        want = full[e0][:, c0 : e0 + len(var) - min_len].copy()  # trimmed below stop
+        ends, starts = np.arange(e0, e0 + len(var))[:, None], np.arange(c0, c0 + want.shape[1])
+        want[starts > ends - min_len] = np.inf  # and only there
+        assert var.tobytes() == want.tobytes() and var.shape == want.shape, e0
+
+
+def test_closing_the_dp_feed_after_one_block_stops_its_worker():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(16).standard_normal((512, 2))))
+    scatter = lambda: [t for t in threading.enumerate() if t.name.startswith("ktseg-scatter")]
+    feed = segmentation._dp_blocks(gram, 1, lambda: 0)
+    assert next(feed)[0] == 1 and len(scatter()) == 1  # four full blocks: a worker forms them
+    feed.close()
+    assert scatter() == []
+
+
 def test_scatter_blocks_start_no_thread():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(6).standard_normal((40, 3))))
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
