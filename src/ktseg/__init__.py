@@ -8,7 +8,6 @@ over the original video timeline.
 
 from .errors import (
     CandidateCountMismatchError,
-    IndexOutOfRangeError,
     InfeasibleConfigError,
     InfeasibleSegmentCountError,
     InstanceTooLargeError,
@@ -48,7 +47,6 @@ from .segmentation import (
     GramMatrix,
     KernelSpec,
     Segmentation,
-    VarianceTable,
     build_variance_table,
     compute_gram,
     placement_objective,
@@ -70,7 +68,6 @@ __all__ = [
     "DEFAULT_CANDIDATE_CAP",
     "FeatureSequence",
     "GramMatrix",
-    "IndexOutOfRangeError",
     "InfeasibleConfigError",
     "InfeasibleSegmentCountError",
     "InstanceTooLargeError",
@@ -93,7 +90,6 @@ __all__ = [
     "SyntheticInstance",
     "TooManyCandidatesError",
     "UnsortedInputError",
-    "VarianceTable",
     "VideoTimeline",
     "ZeroNormRowError",
     "boundary_metrics",

@@ -21,10 +21,6 @@ class PrecisionLossError(KtsError, FloatingPointError):
     """Window scatters lost their precision to cancellation (input scale too large)."""
 
 
-class IndexOutOfRangeError(KtsError, IndexError):
-    """Variance window [a, b) violates 0 <= a < b <= n."""
-
-
 class InfeasibleSegmentCountError(KtsError):
     """Segment count impossible for the given length and minimum segment size."""
 

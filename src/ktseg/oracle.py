@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InstanceTooLargeError
-from .segmentation import GramMatrix, Segmentation, _check_feasible, _dp_sum, _WindowGather
+from .segmentation import GramMatrix, Segmentation, _check_feasible, _dp_sum, _window_scatters
 
 #: Enumeration walks C(n-1, m-1) placements; refuse anything bigger.
 BRUTE_FORCE_MAX_N = 16
@@ -29,10 +29,7 @@ def brute_force(source: GramMatrix, m: int, min_segment_length: int = 1) -> Segm
     _check_size(n)
     _check_feasible(n, m, min_segment_length)
     windows = [(a, b) for b in range(1, n + 1) for a in range(b - min_segment_length + 1)]
-    gather = _WindowGather(source, windows)
-    for _ in gather.blocks():
-        pass
-    scatter = dict(zip(windows, gather.scatters.tolist()))
+    scatter = dict(zip(windows, _window_scatters(source, windows)))
     best_cps: tuple[int, ...] | None = None
     best_cost = float("inf")
     for combo in combinations(range(1, n), m - 1):

@@ -11,13 +11,10 @@ and ``GramMatrix.blocks`` forms the kernel columns one block of 128 window
 end indices at a time and turns them into scatters by O(n) running sums of
 squared pairwise kernel distances: a solve needs O(m*n) memory. Chosen
 windows (``_WindowGather``) are read off the blocks of the solve they feed,
-so a comparison makes no pass of its own; the brute-force oracle reads its
-windows off one pass too.
-``build_variance_table`` writes the same blocks down: its ``VarianceTable``
-is a ``GramMatrix`` whose (n+1)^2 array, the only O(n^2) one, answers
-``placement_objective``, the tests and the benchmark in O(1) a window; no CLI
-command builds it. A solve or oracle on a table streams its rows' blocks like
-any source, so its scatters are the table's, bit for bit.
+so a comparison makes no pass of its own; ``placement_objective`` and the
+brute-force oracle read theirs off one pass of their own. No (n+1)^2 array
+is formed anywhere: every scatter is a block entry, so a window has the same
+bits whichever reader asks for it.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -48,7 +45,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import (
-    IndexOutOfRangeError,
     InfeasibleSegmentCountError,
     InstanceTooLargeError,
     InvariantViolationError,
@@ -64,13 +60,12 @@ np = lazy_numpy()
 #: Default maximum number of candidate frames (~68 min of video at one
 #: candidate per second). The exact solve takes O(m*n^2) time in the worst
 #: case, less where pruning drops dominated starts, and O(m*n) memory, of which
-#: its three block buffers take 3 KiB per candidate (12.6 MB at this cap); the
-#: dense reference table holds (n+1)^2 doubles, ~134 MB at this cap.
+#: its three block buffers take 3 KiB per candidate (12.6 MB at this cap).
 DEFAULT_CANDIDATE_CAP = 4096
 
 #: Window ends per column block, the one width every block consumer shares: one
-#: kernel matmul, one DP step, one table write. A block holds 128*n doubles, so
-#: memory stays linear in n. Wider blocks read the n*d kernel rows fewer times,
+#: kernel matmul, one DP step. A block holds 128*n doubles, so memory stays
+#: linear in n. Wider blocks read the n*d kernel rows fewer times,
 #: but each DP row also evaluates the infeasible corner past every block's
 #: diagonal, n*ends/2 cells in all; narrower ones cost more numpy calls.
 _BLOCK_ENDS = 128
@@ -244,38 +239,12 @@ class GramMatrix:
             yield e0, c0, k
 
 
-@dataclass(frozen=True)
-class VarianceTable(GramMatrix):
-    """Dense reference: a GramMatrix with the clamped scatter of every half-open window written down.
-
-    var_matrix[a, b] holds the scatter of window [a, b), that is
-
-        sum_{a <= s < s' < b} d2(s, s') / (b - a),
-        d2(s, s') = K(s, s) + K(s', s') - 2 * K(s, s'),
-
-    for every a < b: the squared kernel distances of the window's frame pairs,
-    summed and divided by its length. That equals its Gram diagonal sum less
-    its Gram mass over b - a. Single-frame windows are exactly zero. O(n^2)
-    memory, O(1) per query: a reference for the tests and the benchmark, which
-    no solver or CLI command reads. Its blocks are its rows' blocks, so a solve
-    or oracle on a table computes the very scatters the table holds.
-    """
-
-    var_matrix: np.ndarray
-
-    def var(self, a: int, b: int) -> float:
-        """Clamped scatter of candidate window [a, b)."""
-        if not (0 <= a < b <= self.n):
-            raise IndexOutOfRangeError(f"window [{a}, {b}) out of range for n={self.n}")
-        return float(self.var_matrix[a, b])
-
-
 class _WindowGather:
     """``source``'s blocks, passed on after the scatter of each window [a, b) of ``windows`` is read off.
 
     Each window is read from the block holding end b before a consumer (a solver) may
-    overwrite that block, so once every block has passed, ``scatters[k]`` holds
-    var_matrix[a, b] of ``windows[k]`` bit for bit. Every window must satisfy
+    overwrite that block, so once every block has passed, ``scatters[k]`` holds the
+    full pass's scatter of ``windows[k]`` bit for bit. Every window must satisfy
     0 <= a < b <= n; callers build them from valid change points.
     """
 
@@ -439,14 +408,14 @@ def compute_gram(
     kernel: KernelSpec | None = None,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> GramMatrix:
-    """This kernel over these features: the one scatter source of the solvers and the table.
+    """This kernel over these features: the one scatter source of every solve and comparison.
 
-    No Gram entry is formed here; the solvers and :func:`build_variance_table`
-    compute them block by block from the rows kept. Dot-kernel rows are centred
-    by their column mean, so these are the Gram entries of the centred
-    features: the scatter is translation invariant, and centred rows keep the
-    Gram entries near the scatter's own magnitude, so a large offset cannot
-    cancel it away. Cosine rows are L2-normalized. Raises
+    No Gram entry is formed here; :meth:`GramMatrix.blocks` computes them block
+    by block from the rows kept. Dot-kernel rows are centred by their column
+    mean, so these are the Gram entries of the centred features: the scatter is
+    translation invariant, and centred rows keep the Gram entries near the
+    scatter's own magnitude, so a large offset cannot cancel it away. Cosine
+    rows are L2-normalized. Raises
     TooManyCandidatesError above ``max_candidates`` frames, ZeroNormRowError
     when the cosine kernel meets an all-zero row, and PrecisionLossError unless
     4*n*sum ||x||^2, a bound on every kernel value, squared kernel distance and
@@ -477,26 +446,39 @@ def compute_gram(
     return GramMatrix(rows=x, kernel=kernel, sq_norms=sq_norms)
 
 
-def build_variance_table(gram: GramMatrix) -> VarianceTable:
-    """``gram`` with the clamped scatter of every window written down: the blocks the solvers consume.
+def build_variance_table(gram: GramMatrix) -> GramMatrix:
+    """``gram`` itself, under the name the benchmark harness (``perfbench/``) calls and traces.
 
-    Reads ``gram.blocks()`` on the calling thread at the solvers' block
-    width, so every entry is bit-identical to the scatter a solver sees for
-    that window. O(n^2) time; memory is the returned table plus two
-    blocks. Raises PrecisionLossError when a raw scatter falls below -1e-9.
+    It goes once the harness reads its objectives off the blocks.
     """
-    n = gram.n
-    var_matrix = np.zeros((n + 1, n + 1))
-    for e0, _, raw in gram.blocks():
-        var_matrix[: e0 + len(raw) - 1, e0 : e0 + len(raw)] = raw.T
-    var_matrix.setflags(write=False)
-    return VarianceTable(rows=gram.rows, kernel=gram.kernel, sq_norms=gram.sq_norms, var_matrix=var_matrix)
+    return gram
 
 
-def placement_objective(table: VarianceTable, change_points: Sequence[int]) -> float:
-    """Total scatter of an explicit placement, summed as the DP sums it (see :func:`_dp_sum`)."""
-    bounds = (0, *change_points, table.n)
-    return _dp_sum(table.var(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+def _window_scatters(source: GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
+    """The scatter of each window [a, b) of ``windows``, off one pass of ``source``'s blocks of its own.
+
+    The pass starts each block at the lowest start of a window still unread, so it skips
+    the columns no window reads; each scatter is the full pass's, bit for bit.
+    """
+    gather = _WindowGather(source, windows)
+    for _ in gather.blocks(lambda: source.n):
+        pass
+    return gather.scatters.tolist()
+
+
+def placement_objective(source: GramMatrix, change_points: Sequence[int]) -> float:
+    """Total scatter of an explicit placement, summed as the DP sums it (see :func:`_dp_sum`).
+
+    Reads the placement's windows off one block pass (:func:`_window_scatters`), so it holds
+    O(n) memory. Raises InvariantViolationError unless 0 < t_1 < ... < t_(m-1) < n.
+    """
+    bounds = (0, *change_points, source.n)
+    windows = list(zip(bounds[:-1], bounds[1:]))
+    if any(a >= b for a, b in windows):
+        raise InvariantViolationError(
+            f"change points must increase strictly inside (0, {source.n}), got {list(change_points)}"
+        )
+    return _dp_sum(_window_scatters(source, windows))
 
 
 def _split_total(gram: GramMatrix, bounds: Sequence[int]) -> float:

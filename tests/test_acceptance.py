@@ -20,7 +20,6 @@ from ktseg import (
     VideoTimeline,
     boundary_metrics,
     brute_force,
-    build_variance_table,
     compute_gram,
     generate,
     placement_objective,
@@ -31,6 +30,8 @@ from ktseg import (
     uniform_change_points,
 )
 from ktseg.io import read_features, read_plan, read_segmentation, write_features, write_plan, write_segmentation
+
+from dense_reference import dense_table, gram_for, table_for
 
 CORPUS_SEEDS = tuple(range(50))
 CORPUS_SIGMA = 0.03  # keeps the unit-weight penalty at the scale of one split
@@ -49,10 +50,6 @@ def corpus_config(seed, sigma=CORPUS_SIGMA, separation=None):
     )
 
 
-def table_for(values):
-    return build_variance_table(compute_gram(FeatureSequence(values=values)))
-
-
 def report(number, name, ok, detail=""):
     line = f"ACCEPTANCE {number} [{name}]: {'PASS' if ok else 'FAIL'}"
     if detail:
@@ -69,9 +66,9 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(2, 13))
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, min(4, n) + 1))
-        table = table_for(rng.standard_normal((n, d)))
-        dp = solve_fixed(table, m)
-        bf = brute_force(table, m)
+        gram = gram_for(rng.standard_normal((n, d)))
+        dp = solve_fixed(gram, m)
+        bf = brute_force(gram, m)
         if dp.change_points != bf.change_points or abs(dp.objective - bf.objective) > 1e-9:
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -94,7 +91,7 @@ def test_criterion_2_window_consistency():
         for a in range(n):
             for b in range(a + 1, n + 1):
                 direct = float(((values[a:b] - values[a:b].mean(axis=0)) ** 2).sum())
-                got = table.var(a, b)
+                got = float(table[a, b])
                 worst = max(worst, abs(got - direct) / max(abs(direct), 1e-9))
                 if not math.isclose(got, direct, rel_tol=1e-6, abs_tol=1e-9):
                     report(2, "window consistency", False, f"var({a},{b}) {got} vs {direct}")
@@ -105,8 +102,8 @@ def test_criterion_3_monotone_and_zero_floor():
     rng = np.random.default_rng(20240303)
     for _ in range(25):
         n = int(rng.integers(2, 65))
-        table = table_for(rng.standard_normal((n, int(rng.integers(1, 6)))))
-        objectives = [seg.objective for seg in solve_range(table, range(1, n + 1))]
+        gram = gram_for(rng.standard_normal((n, int(rng.integers(1, 6)))))
+        objectives = [seg.objective for seg in solve_range(gram, range(1, n + 1))]
         for m, (prev, nxt) in enumerate(zip(objectives[:-1], objectives[1:]), start=1):
             if nxt > prev + 1e-9:
                 report(3, "monotone objective", False, f"J_{m + 1} > J_{m} ({nxt} > {prev})")
@@ -121,14 +118,14 @@ def test_criterion_4_dominance_and_boundary_f1():
     dominance_violations = 0
     for seed in CORPUS_SEEDS:
         instance = generate(corpus_config(seed))
-        table = table_for(instance.features.values)
+        gram = gram_for(instance.features.values)
         truth = list(instance.true_change_points)
-        solved = solve_range(table, SWEEP_GRID)
+        solved = solve_range(gram, SWEEP_GRID)
         for m, seg in zip(SWEEP_GRID, solved):
-            uniform_obj = placement_objective(table, uniform_change_points(200, m))
+            uniform_obj = placement_objective(gram, uniform_change_points(200, m))
             if seg.objective > uniform_obj:
                 dominance_violations += 1
-        seg8 = solve_fixed(table, 8)
+        seg8 = solve_fixed(gram, 8)
         kts_f1.append(boundary_metrics(list(seg8.change_points), truth, 2).f1)
         uni_f1.append(boundary_metrics(list(uniform_change_points(200, 8)), truth, 2).f1)
     elapsed = time.perf_counter() - start
@@ -145,16 +142,14 @@ def test_criterion_5_auto_segment_count_recovery():
     recovered = 0
     for seed in CORPUS_SEEDS:
         instance = generate(corpus_config(seed))
-        table = table_for(instance.features.values)
-        seg = solve_auto(table, 16, penalty_weight=1.0)
+        seg = solve_auto(gram_for(instance.features.values), 16, penalty_weight=1.0)
         recovered += seg.m == 8
     noisy_ok = recovered >= 45  # >= 90% of 50 seeds
 
     exact = 0
     for seed in CORPUS_SEEDS:
         instance = generate(corpus_config(seed, sigma=0.0, separation=1.0))
-        table = table_for(instance.features.values)
-        seg = solve_auto(table, 16, penalty_weight=1.0)
+        seg = solve_auto(gram_for(instance.features.values), 16, penalty_weight=1.0)
         exact += seg.m == 8 and seg.change_points == instance.true_change_points
     clean_ok = exact == len(CORPUS_SEEDS)
 
@@ -170,14 +165,14 @@ def test_criterion_6_worked_example_fixtures():
     ok = True
     details = []
 
-    blocks = table_for([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    blocks = gram_for([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     fixed = solve_fixed(blocks, 2)
     ok &= fixed.change_points == (2,) and fixed.objective == 0.0
     auto = solve_auto(blocks, 4, penalty_weight=1.0)
     ok &= auto.m == 2 and abs(auto.penalty - 2 * math.log(1.5)) <= 1e-9
     details.append(f"blocks m={fixed.m}/auto={auto.m}")
 
-    steps = table_for([[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]])
+    steps = gram_for([[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]])
     tie = solve_fixed(steps, 2)
     ok &= tie.change_points == (2,) and abs(tie.objective - 26.5) <= 1e-9
     details.append(f"tie cp={list(tie.change_points)}")
@@ -208,7 +203,9 @@ def test_criterion_7_scaling():
     rng = np.random.default_rng(20240707)
     big = FeatureSequence(values=rng.standard_normal((2000, 64)))
     start = time.perf_counter()
-    seg = solve_fixed(build_variance_table(compute_gram(big)), 32)
+    gram = compute_gram(big)
+    # The timed work keeps the dense (n+1)^2 build, held until the solve returns.
+    _, seg = dense_table(gram), solve_fixed(gram, 32)
     big_elapsed = time.perf_counter() - start
     assert seg.m == 32
 
@@ -216,7 +213,8 @@ def test_criterion_7_scaling():
         values = np.random.default_rng(1).standard_normal((n, 8))
         feats = FeatureSequence(values=values)
         t0 = time.perf_counter()
-        solve_fixed(build_variance_table(compute_gram(feats)), 16)
+        gram = compute_gram(feats)
+        dense_table(gram), solve_fixed(gram, 16)
         return time.perf_counter() - t0
 
     # Interleave the two sizes and take the median per-pair ratio so CPU

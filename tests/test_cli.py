@@ -14,7 +14,6 @@ from ktseg import (
     FeatureSequence,
     Segmentation,
     SynthConfig,
-    build_variance_table,
     cli,
     compute_gram,
     generate,
@@ -776,21 +775,21 @@ def test_sweep_dominance(tmp_path):
     assert lines[0] == "seed,m,ktsObjective,uniformObjective,ktsF1,uniformF1"
     grid = {48, 24, 16, 12, 8}
     assert len(lines) == 1 + 3 * len(grid)
-    tables = {
-        seed: build_variance_table(compute_gram(generate(SynthConfig(
+    grams = {
+        seed: compute_gram(generate(SynthConfig(
             n=48, d=4, segment_count=4, mean_separation=1.0, noise_sigma=0.05, seed=seed,
             min_segment_length=4,
-        )).features))
+        )).features)
         for seed in range(3)
     }
-    solved = {seed: {s.m: s for s in solve_range(table, grid)} for seed, table in tables.items()}
+    solved = {seed: {s.m: s for s in solve_range(gram, grid)} for seed, gram in grams.items()}
     for line in lines[1:]:
         seed, m, kts_obj, uni_obj, kts_f1, uni_f1 = line.split(",")
         assert int(m) in grid
         assert float(kts_obj) <= float(uni_obj)
         assert 0.0 <= float(kts_f1) <= 1.0
-        table = tables[int(seed)]
-        assert uni_obj == "%.17g" % placement_objective(table, uniform_change_points(48, int(m)))
+        gram = grams[int(seed)]
+        assert uni_obj == "%.17g" % placement_objective(gram, uniform_change_points(48, int(m)))
         assert kts_obj == "%.17g" % solved[int(seed)][int(m)].objective
 
 

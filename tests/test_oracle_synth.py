@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import heapq
+from itertools import combinations
 import math
 import struct
 from unittest import mock
@@ -21,7 +22,6 @@ from ktseg import (
     UnsortedInputError,
     boundary_metrics,
     brute_force,
-    build_variance_table,
     compute_gram,
     generate,
     objective_comparison,
@@ -30,9 +30,7 @@ from ktseg import (
 )
 from ktseg import metrics, segmentation
 
-
-def table_for(values):
-    return build_variance_table(compute_gram(FeatureSequence(values=values)))
+from dense_reference import dense_table, gram_for
 
 
 # ---------------------------------------------------------------------------
@@ -40,50 +38,54 @@ def table_for(values):
 
 
 def test_brute_force_two_blocks():
-    seg = brute_force(table_for([[1, 0], [1, 0], [0, 1], [0, 1]]), 2)
+    seg = brute_force(gram_for([[1, 0], [1, 0], [0, 1], [0, 1]]), 2)
     assert seg.change_points == (2,)
     assert seg.objective == 0.0
 
 
 def test_brute_force_tie_instance():
-    seg = brute_force(table_for([[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]), 2)
+    seg = brute_force(gram_for([[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]), 2)
     assert seg.change_points == (2,)
     assert seg.objective == pytest.approx(26.5, abs=1e-9)
 
 
 def test_brute_force_all_singletons():
     rng = np.random.default_rng(1)
-    seg = brute_force(table_for(rng.standard_normal((6, 2))), 6)
+    seg = brute_force(gram_for(rng.standard_normal((6, 2))), 6)
     assert seg.change_points == (1, 2, 3, 4, 5)
     assert seg.objective == 0.0
 
 
 def test_brute_force_size_cap():
     rng = np.random.default_rng(2)
-    table = table_for(rng.standard_normal((17, 2)))
     with pytest.raises(InstanceTooLargeError):
-        brute_force(table, 2)
+        brute_force(gram_for(rng.standard_normal((17, 2))), 2)
 
 
 def test_brute_force_min_segment_length():
     rng = np.random.default_rng(3)
-    table = table_for(rng.standard_normal((9, 2)))
-    seg = brute_force(table, 3, min_segment_length=3)
+    seg = brute_force(gram_for(rng.standard_normal((9, 2))), 3, min_segment_length=3)
     assert seg.change_points == (3, 6)
 
 
 @pytest.mark.parametrize("kernel", ["dot", "cosine", "rbf:0.5", "rbf:3"])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
-def test_brute_force_on_the_gram_equals_brute_force_on_the_table(kernel, min_len):
+def test_brute_force_on_the_gram_equals_enumeration_over_the_dense_reference(kernel, min_len):
     rng = np.random.default_rng(min_len)
     values = rng.standard_normal((13, 3))
     values[4:7] = values[3]  # tied rows
     gram = compute_gram(FeatureSequence(values=values), KernelSpec.from_tag(kernel))
+    table = dense_table(gram)
     for m in (1, 2, 4, 13 // min_len):
+        placements = [
+            bounds for cuts in combinations(range(1, 13), m - 1) for bounds in [(0, *cuts, 13)]
+            if all(b - a >= min_len for a, b in zip(bounds[:-1], bounds[1:]))
+        ]
+        totals = [segmentation._dp_sum(table[a, b] for a, b in zip(p[:-1], p[1:])) for p in placements]
+        best = totals.index(min(totals))  # the first in lexicographic order, as brute_force breaks ties
         streamed = brute_force(gram, m, min_len)
-        dense = brute_force(build_variance_table(gram), m, min_len)
-        assert streamed.change_points == dense.change_points
-        assert struct.pack("<d", streamed.objective) == struct.pack("<d", dense.objective)
+        assert streamed.change_points == placements[best][1:-1]
+        assert struct.pack("<d", streamed.objective) == struct.pack("<d", totals[best])
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,7 @@ def test_generator_zero_noise_is_piecewise_constant_and_recoverable():
     bounds = (0, *inst.true_change_points, inst.features.n)
     for a, b in zip(bounds[:-1], bounds[1:]):
         assert (values[a:b] == values[a]).all()
-    seg = solve_fixed(table_for(values), 4)
+    seg = solve_fixed(gram_for(values), 4)
     assert seg.change_points == inst.true_change_points
 
 
@@ -255,7 +257,7 @@ def test_generator_high_snr_recovery_seed_42():
         n=200, d=16, segment_count=5, mean_separation=5.0, noise_sigma=1.0, seed=42
     )
     inst = generate(config)
-    seg = solve_fixed(table_for(inst.features.values), 5)
+    seg = solve_fixed(gram_for(inst.features.values), 5)
     assert inst.true_change_points == (40, 44, 56, 138)
     deviations = [abs(p - t) for p, t in zip(seg.change_points, inst.true_change_points)]
     assert max(deviations) <= 1
@@ -360,13 +362,13 @@ def test_metrics_match_all_pairs_greedy_matching(pred, truth, tol):
 
 
 def test_comparison_aligned_blocks():
-    comp = objective_comparison(table_for([[1, 0], [1, 0], [0, 1], [0, 1]]), 2)
+    comp = objective_comparison(gram_for([[1, 0], [1, 0], [0, 1], [0, 1]]), 2)
     assert comp.kts_objective == 0.0
     assert comp.uniform_objective == 0.0
 
 
 def test_comparison_misaligned_blocks():
-    comp = objective_comparison(table_for([[1, 0], [1, 0], [1, 0], [0, 1]]), 2)
+    comp = objective_comparison(gram_for([[1, 0], [1, 0], [1, 0], [0, 1]]), 2)
     assert comp.kts_objective == 0.0
     assert comp.uniform_objective == pytest.approx(1.0, abs=1e-12)
 
@@ -385,7 +387,7 @@ def test_comparison_refuses_an_objective_above_the_uniform_split():
 def test_comparison_never_worse_than_uniform(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
-    table = table_for(rng.standard_normal((n, 3)))
+    gram = gram_for(rng.standard_normal((n, 3)))
     m = int(rng.integers(1, n + 1))
-    comp = objective_comparison(table, m)
+    comp = objective_comparison(gram, m)
     assert comp.kts_objective <= comp.uniform_objective

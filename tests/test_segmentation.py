@@ -1,4 +1,4 @@
-"""Core solver tests: kernel values, the Gram source and its dense table, and the DP solves."""
+"""Core solver tests: kernel values, the Gram source against its dense reference, and the DP solves."""
 
 from fractions import Fraction
 import math
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from ktseg import (
     FeatureSequence,
-    IndexOutOfRangeError,
     InfeasibleSegmentCountError,
     InstanceTooLargeError,
     InvariantViolationError,
@@ -30,7 +29,6 @@ from ktseg import (
     TooManyCandidatesError,
     ZeroNormRowError,
     brute_force,
-    build_variance_table,
     compute_gram,
     generate,
     placement_objective,
@@ -42,12 +40,10 @@ from ktseg import (
 )
 from ktseg import cli, metrics, segmentation
 
+from dense_reference import dense_table, gram_for, table_for
+
 TWO_BLOCKS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 STEPS_1D = [[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]
-
-
-def table_for(values, kernel=None):
-    return build_variance_table(compute_gram(FeatureSequence(values=values), kernel))
 
 
 def direct_scatter(values, a, b):
@@ -193,36 +189,38 @@ def test_feature_sequence_names_the_first_non_finite_value():
 
 def test_variance_two_block_windows():
     table = table_for(TWO_BLOCKS)
-    assert table.var(0, 2) == 0.0
-    assert table.var(2, 4) == 0.0
-    assert table.var(0, 4) == pytest.approx(2.0, abs=1e-12)
+    assert table[0, 2] == 0.0
+    assert table[2, 4] == 0.0
+    assert table[0, 4] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_variance_1d_steps():
     table = table_for(STEPS_1D)
-    assert table.var(0, 3) == pytest.approx(14.0, abs=1e-9)  # 26 - 36/3
-    assert table.var(3, 6) == pytest.approx(14.0, abs=1e-9)  # 257 - 729/3
-    assert table.var(0, 2) == pytest.approx(0.5, abs=1e-12)  # 1 - 1/2
+    assert table[0, 3] == pytest.approx(14.0, abs=1e-9)  # 26 - 36/3
+    assert table[3, 6] == pytest.approx(14.0, abs=1e-9)  # 257 - 729/3
+    assert table[0, 2] == pytest.approx(0.5, abs=1e-12)  # 1 - 1/2
 
 
 def test_single_frame_windows_are_exactly_zero():
     rng = np.random.default_rng(7)
     table = table_for(rng.standard_normal((30, 4)))
     for a in range(30):
-        assert table.var(a, a + 1) == 0.0
+        assert table[a, a + 1] == 0.0
 
 
-def test_var_window_bounds():
-    table = table_for(TWO_BLOCKS)
-    for a, b in ((-1, 2), (2, 2), (3, 1), (0, 5)):
-        with pytest.raises(IndexOutOfRangeError):
-            table.var(a, b)
+@pytest.mark.parametrize("change_points", [(3, 1), (2, 2), (0,), (4,), (-1, 2), (1, 5)])
+def test_placement_objective_refuses_a_bad_placement(change_points):
+    # Unsorted, repeated, then out of range: one line naming the placement.
+    message = f"change points must increase strictly inside (0, 4), got {list(change_points)}"
+    with pytest.raises(KtsError, match=f"^{re.escape(message)}$") as info:
+        placement_objective(gram_for(TWO_BLOCKS), change_points)
+    assert isinstance(info.value, InvariantViolationError)
 
 
 def test_var_values_nonnegative():
     rng = np.random.default_rng(8)
     table = table_for(rng.standard_normal((50, 6)))
-    assert (table.var_matrix >= 0.0).all()
+    assert (table >= 0.0).all()
 
 
 def stacked_stream_blocks(values, width):
@@ -246,7 +244,7 @@ def test_table_matches_direct_feature_evaluation(seed):
     for a in range(n):
         for b in range(a + 1, n + 1):
             expected = direct_scatter(values, a, b)
-            assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+            assert table[a, b] == pytest.approx(expected, rel=1e-6, abs=1e-9)
             assert streamed[a, b] == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
@@ -255,11 +253,11 @@ def test_table_matches_direct_gram_evaluation(kernel):
     rng = np.random.default_rng(11)
     values = rng.standard_normal((25, 5)) + 0.5
     gram = numpy_gram(values, kernel)
-    table = build_variance_table(compute_gram(FeatureSequence(values=values), kernel))
+    table = table_for(values, kernel)
     for a in range(0, 25, 3):
         for b in range(a + 1, 26, 4):
             expected = gram_window_scatter(gram, a, b)
-            assert table.var(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+            assert table[a, b] == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 def jittered_shots(rng, shots, d, rows=10):
@@ -274,7 +272,7 @@ def jittered_shots(rng, shots, d, rows=10):
 def test_precision_loss_raises_from_both_sources():
     feats = FeatureSequence(values=jittered_shots(np.random.default_rng(9), 4, 4) * 1e4)
     with pytest.raises(PrecisionLossError) as dense:
-        build_variance_table(compute_gram(feats))
+        dense_table(compute_gram(feats))
     with pytest.raises(PrecisionLossError):
         solve_fixed(compute_gram(feats), 2)
     assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
@@ -297,7 +295,7 @@ def test_window_scatters_are_exact_to_their_own_rows():
     signs = np.array([rng.permutation(np.repeat([1, -1], 30)) for _ in range(3)]).T
     values = np.vstack([1000.0 * signs, rng.uniform(-3.0, 3.0, (60, 3))])
     gram = compute_gram(FeatureSequence(values=values))
-    table = build_variance_table(gram)
+    table = dense_table(gram)
     diag = gram.diag
     exact = [[Fraction(v) for v in row] for row in values]
     eps = np.finfo(np.float64).eps
@@ -308,7 +306,7 @@ def test_window_scatters_are_exact_to_their_own_rows():
             squares += sum(v * v for v in exact[b - 1])
             want = squares - sum(s * s for s in sums) / (b - a)
             bound = (b - a) * eps * diag[a:b].sum()
-            assert abs(Fraction(table.var(a, b)) - want) <= Fraction(bound), (a, b)
+            assert abs(Fraction(table[a, b]) - want) <= Fraction(bound), (a, b)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
@@ -319,7 +317,7 @@ def test_kernel_overflow_raises_from_both_sources(scale, kernel):
     # Warnings are errors in this suite, so an overflow warning on the way fails too.
     feats = FeatureSequence(values=np.random.default_rng(10).standard_normal((50, 4)) * scale)
     with pytest.raises(PrecisionLossError, match="overflow"):
-        build_variance_table(compute_gram(feats, kernel))
+        dense_table(compute_gram(feats, kernel))
     with pytest.raises(PrecisionLossError, match="overflow"):
         solve_fixed(compute_gram(feats, kernel), 2)
 
@@ -330,7 +328,7 @@ def test_precision_check_rejects_nan():
 
 
 # ---------------------------------------------------------------------------
-# The dense table against the streamed blocks
+# The dense reference against the streamed blocks
 
 
 @given(
@@ -345,12 +343,12 @@ def test_table_writes_down_every_streamed_window_bit_for_bit(seed, kernel, block
     n = int(rng.integers(1, 40))
     gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, int(rng.integers(1, 6))))), kernel)
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
-        table = build_variance_table(gram)
+        table = dense_table(gram)
         streamed = np.zeros((n + 1, n + 1))
         for e0, _, v in gram.blocks():
             for j, row in enumerate(v):  # only windows [t, e0 + j) with t < e0 + j are specified
                 streamed[: e0 + j, e0 + j] = row[: e0 + j]
-    assert table.var_matrix.tobytes() == streamed.tobytes()
+    assert table.tobytes() == streamed.tobytes()
 
 
 def shaped_values(rng, shape, n, d):
@@ -469,6 +467,27 @@ def test_stream_blocks_match_unfused_formula_bit_for_bit(seed, shape, kernel, bl
 @given(
     seed=st.integers(0, 2**32 - 1),
     kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
+    scale=st.floats(-3.0, 2.0).map(lambda k: 10.0**k),
+    # One end index per block, a few with a partial last block, or one block.
+    block_ends=st.sampled_from([1, 3, 128]),
+)
+@settings(max_examples=120, deadline=None)
+def test_placement_objective_sums_the_dense_windows_bit_for_bit(seed, kernel, scale, block_ends):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 61)), int(rng.integers(1, 6))
+    gram = gram_for(rng.standard_normal((n, d)) * scale, kernel)
+    cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+    change_points = sorted(int(t) for t in cuts)
+    bounds = (0, *change_points, n)
+    with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
+        table = dense_table(gram)
+        want = segmentation._dp_sum(table[a, b] for a, b in zip(bounds[:-1], bounds[1:]))
+        assert placement_objective(gram, change_points).hex() == want.hex()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from([KernelSpec(), KernelSpec(kind="cosine"), KernelSpec(kind="rbf", bandwidth=1.5)]),
     # One end index per block, a few with a partial last block, or one block.
     block_ends=st.sampled_from([1, 3, 128]),
 )
@@ -481,8 +500,8 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_e
     windows = [(a, int(rng.integers(a + 1, n + 1))) for a in starts]  # unsorted by end
     windows += [(a, a + 1) for a in starts[:3]] + windows[:3]  # single frames and repeats
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
-        table = build_variance_table(gram)
-        want = np.array([table.var_matrix[a, b] for a, b in windows])
+        table = dense_table(gram)
+        want = np.array([table[a, b] for a, b in windows])
         gather = segmentation._WindowGather(gram, windows)
         for _ in gather.blocks():
             pass
@@ -492,7 +511,7 @@ def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_e
 def test_window_gather_caps_the_start_at_its_lowest_unread_window():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(42).standard_normal((768, 3))))
     windows = [(0, 5), (520, 700), (300, 500), (600, 768), (530, 690)]
-    table = build_variance_table(gram)
+    table = dense_table(gram)
     starts, scatter_blocks = [], segmentation.GramMatrix.blocks
 
     def recording(*args):
@@ -509,7 +528,7 @@ def test_window_gather_caps_the_start_at_its_lowest_unread_window():
     # The lowest start of a window not yet read (0, then 300, then 520), capped at the block's
     # last tile edge (0, 256, 512) and rounded down to a tile edge.
     assert starts == [0, 256, 512], starts
-    want = np.array([table.var_matrix[a, b] for a, b in windows])
+    want = np.array([table[a, b] for a, b in windows])
     assert gather.scatters.tobytes() == want.tobytes()
 
 
@@ -517,11 +536,11 @@ def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(8).standard_normal((40, 3))))
     windows = [(a, b) for b in range(1, 41) for a in range(b)]  # every window, the short ones too
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
-        table = build_variance_table(gram)
+        table = dense_table(gram)
         gather = segmentation._WindowGather(gram, windows)
         # min_segment_length=4 makes the DP write inf over every window shorter than 4.
-        assert solve_range(gather, [3, 5], 4) == solve_range(table, [3, 5], 4)
-    want = np.array([table.var_matrix[a, b] for a, b in windows])
+        assert solve_range(gather, [3, 5], 4) == solve_range(gram, [3, 5], 4)
+    want = np.array([table[a, b] for a, b in windows])
     assert gather.scatters.tobytes() == want.tobytes()
 
 
@@ -547,13 +566,14 @@ def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
         return scatter_blocks(*args)
 
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 7):
-        table = build_variance_table(gram)
+        table = dense_table(gram)
         for m in (1, 4, 9, n):
             passes.clear()
             with mock.patch.object(segmentation.GramMatrix, "blocks", counted):
                 comparison = metrics.objective_comparison(gram, m)
             assert len(passes) == 1, "the uniform windows must be read off the solve's own pass"
-            want = placement_objective(table, uniform_change_points(n, m))
+            bounds = (0, *uniform_change_points(n, m), n)
+            want = segmentation._dp_sum(table[a, b] for a, b in zip(bounds[:-1], bounds[1:]))
             assert "%.17g" % comparison.uniform_objective == "%.17g" % want
             assert comparison.kts_objective == solve_fixed(gram, m).objective
     assert comparison == (0.0, 0.0)  # m = n: every frame its own window
@@ -672,9 +692,9 @@ def test_block_readers_outside_a_solve_start_no_thread():
         ends = [e0 for e0, _, _ in gram.blocks()]
         for _ in gather.blocks():
             pass
-        table = build_variance_table(gram)
+        table = dense_table(gram)
     assert ends == list(range(1, 513, 128))
-    assert gather.scatters.tolist() == [table.var(0, 512), table.var(100, 300)]
+    assert gather.scatters.tolist() == [table[0, 512], table[100, 300]]
 
 
 @pytest.mark.parametrize("n, workers", [(511, 0), (512, 1)])
@@ -829,16 +849,16 @@ def test_streaming_solve_holds_less_than_one_dense_array():
     assert peak < 3001**2 * 8, f"streaming solve peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_dense_build_holds_one_dense_array():
-    feats = FeatureSequence(values=np.random.default_rng(13).standard_normal((2000, 32)))
+def test_placement_objective_holds_less_than_a_quarter_table():
+    gram = compute_gram(FeatureSequence(values=np.random.default_rng(13).standard_normal((2000, 32))))
     tracemalloc.start()
     try:
-        table = build_variance_table(compute_gram(feats))
+        total = placement_objective(gram, uniform_change_points(2000, 64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.n == 2000
-    assert peak < 1.5 * 2001**2 * 8, f"dense build peaked at {peak / (2001**2 * 8):.2f} tables"
+    assert total > 0.0
+    assert peak < 2001**2 * 8 / 4, f"placement objective peaked at {peak / (2001**2 * 8):.2f} tables"
 
 
 # ---------------------------------------------------------------------------
@@ -846,32 +866,31 @@ def test_dense_build_holds_one_dense_array():
 
 
 def test_solve_fixed_two_blocks():
-    seg = solve_fixed(table_for(TWO_BLOCKS), 2)
+    seg = solve_fixed(gram_for(TWO_BLOCKS), 2)
     assert seg.change_points == (2,)
     assert seg.objective == 0.0
     assert seg.penalty == 0.0
 
 
 def test_solve_fixed_single_segment():
-    table = table_for(STEPS_1D)
-    seg = solve_fixed(table, 1)
+    seg = solve_fixed(gram_for(STEPS_1D), 1)
     assert seg.change_points == ()
-    assert seg.objective == table.var(0, 6)
+    assert seg.objective == table_for(STEPS_1D)[0, 6]
 
 
 def test_solve_fixed_leftmost_tie_break():
     # Splits at 2 and 4 both cost 26.5; the leftmost must win.
-    seg = solve_fixed(table_for(STEPS_1D), 2)
+    seg = solve_fixed(gram_for(STEPS_1D), 2)
     assert seg.change_points == (2,)
     assert seg.objective == pytest.approx(26.5, abs=1e-9)
 
 
 def test_solve_fixed_exhausts_all_splits():
-    table = table_for(STEPS_1D)
+    gram = gram_for(STEPS_1D)
     best = min(
-        placement_objective(table, (t,)) for t in range(1, 6)
+        placement_objective(gram, (t,)) for t in range(1, 6)
     )
-    assert solve_fixed(table, 2).objective == pytest.approx(best, abs=1e-12)
+    assert solve_fixed(gram, 2).objective == pytest.approx(best, abs=1e-12)
 
 
 def test_dp_sum_adds_left_to_right_as_the_dp_does():
@@ -880,13 +899,13 @@ def test_dp_sum_adds_left_to_right_as_the_dp_does():
 
 
 def test_solve_fixed_infeasible():
-    table = table_for(TWO_BLOCKS)
+    gram = gram_for(TWO_BLOCKS)
     with pytest.raises(InfeasibleSegmentCountError):
-        solve_fixed(table, 5)
+        solve_fixed(gram, 5)
     with pytest.raises(InfeasibleSegmentCountError):
-        solve_fixed(table, 0)
+        solve_fixed(gram, 0)
     with pytest.raises(InfeasibleSegmentCountError):
-        solve_fixed(table, 3, min_segment_length=2)
+        solve_fixed(gram, 3, min_segment_length=2)
 
 
 @pytest.mark.parametrize(
@@ -905,8 +924,7 @@ def test_solvers_refuse_a_zero_minimum_segment_length(solve):
 
 def test_solve_fixed_min_segment_length():
     rng = np.random.default_rng(21)
-    table = table_for(rng.standard_normal((17, 3)))
-    seg = solve_fixed(table, 5, min_segment_length=3)
+    seg = solve_fixed(gram_for(rng.standard_normal((17, 3))), 5, min_segment_length=3)
     bounds = (0, *seg.change_points, 17)
     assert all(b - a >= 3 for a, b in zip(bounds[:-1], bounds[1:]))
 
@@ -936,8 +954,8 @@ def test_solve_range_matches_individual_solves():
 
 
 def test_solve_auto_two_blocks_worked_example():
-    table = table_for(TWO_BLOCKS)
-    seg = solve_auto(table, 4, penalty_weight=1.0)
+    gram = gram_for(TWO_BLOCKS)
+    seg = solve_auto(gram, 4, penalty_weight=1.0)
     assert seg.m == 2
     assert seg.change_points == (2,)
     assert seg.objective == 0.0
@@ -945,7 +963,7 @@ def test_solve_auto_two_blocks_worked_example():
     # Reconstruct the full selection curve independently: the split costs
     # are 2, 0, 0, 0 and the penalty is m*ln(m/4 + 1).
     totals = [
-        solve_fixed(table, m).objective + segment_count_penalty(m, 4)
+        solve_fixed(gram, m).objective + segment_count_penalty(m, 4)
         for m in (1, 2, 3, 4)
     ]
     expected = [
@@ -959,8 +977,7 @@ def test_solve_auto_two_blocks_worked_example():
 
 
 def test_solve_auto_constant_features_collapse_to_one():
-    table = table_for(np.ones((9, 3)))
-    seg = solve_auto(table, 9, penalty_weight=1.0)
+    seg = solve_auto(gram_for(np.ones((9, 3))), 9, penalty_weight=1.0)
     assert seg.m == 1
     assert seg.change_points == ()
 
@@ -971,10 +988,10 @@ def test_penalty_formula():
 
 
 def test_solve_auto_rejects_bad_weight():
-    table = table_for(TWO_BLOCKS)
+    gram = gram_for(TWO_BLOCKS)
     for weight in (0.0, -1.0):
         with pytest.raises(NonPositivePenaltyWeightError):
-            solve_auto(table, 2, penalty_weight=weight)
+            solve_auto(gram, 2, penalty_weight=weight)
 
 
 def parent_equal_split_total(gram, m):
@@ -1154,11 +1171,11 @@ def test_solve_range_and_the_forced_count_start_late_blocks_bit_for_bit(kernel, 
 
 def test_solve_auto_penalty_fields():
     rng = np.random.default_rng(23)
-    table = table_for(rng.standard_normal((12, 2)))
-    seg = solve_auto(table, 6, penalty_weight=3.5)
+    gram = gram_for(rng.standard_normal((12, 2)))
+    seg = solve_auto(gram, 6, penalty_weight=3.5)
     assert seg.penalty_weight == 3.5
     assert seg.penalty == pytest.approx(segment_count_penalty(seg.m, 12, 3.5), abs=1e-12)
-    assert seg.objective == solve_fixed(table, seg.m).objective
+    assert seg.objective == solve_fixed(gram, seg.m).objective
 
 
 # ---------------------------------------------------------------------------
@@ -1228,12 +1245,11 @@ def test_forced_count_alone_takes_one_block_pass_and_no_dp_row():
         passes.append(args)
         return scatter_blocks(*args)
 
-    table = build_variance_table(gram)
     with mock.patch.object(segmentation.GramMatrix, "blocks", counted), recorded_rows(calls):
         seg = solve_fixed(gram, 10, 3)
     assert (len(passes), calls) == (1, [[]])  # one sweep, asked for no count: row 0 alone
     assert seg.change_points == (3, 6, 9, 12, 15, 18, 21, 24, 27)
-    assert seg.objective == placement_objective(table, seg.change_points)
+    assert seg.objective == placement_objective(gram, seg.change_points)
 
 
 def test_forced_count_alone_still_raises_precision_loss():
@@ -1327,19 +1343,19 @@ def test_oracle_equivalence_on_random_instances(seed):
     n = int(rng.integers(2, 13))
     d = int(rng.integers(1, 5))
     m = int(rng.integers(1, min(4, n) + 1))
-    table = table_for(rng.standard_normal((n, d)))
-    dp = solve_fixed(table, m)
-    bf = brute_force(table, m)
+    gram = gram_for(rng.standard_normal((n, d)))
+    dp = solve_fixed(gram, m)
+    bf = brute_force(gram, m)
     assert dp.change_points == bf.change_points
     assert abs(dp.objective - bf.objective) <= 1e-9
 
 
 def test_oracle_equivalence_on_full_tie():
     # Constant features tie every placement; both sides must pick [1..m-1].
-    table = table_for(np.full((7, 2), 3.0))
+    gram = gram_for(np.full((7, 2), 3.0))
     for m in (2, 3, 5, 7):
-        dp = solve_fixed(table, m)
-        bf = brute_force(table, m)
+        dp = solve_fixed(gram, m)
+        bf = brute_force(gram, m)
         assert dp.change_points == bf.change_points == tuple(range(1, m))
 
 
@@ -1348,8 +1364,7 @@ def test_oracle_equivalence_on_full_tie():
 def test_objective_monotone_and_floor(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
-    table = table_for(rng.standard_normal((n, 3)))
-    objectives = [seg.objective for seg in solve_range(table, range(1, n + 1))]
+    objectives = [seg.objective for seg in solve_range(gram_for(rng.standard_normal((n, 3))), range(1, n + 1))]
     for prev, nxt in zip(objectives[:-1], objectives[1:]):
         assert nxt <= prev + 1e-9
     assert objectives[-1] == 0.0
@@ -1368,15 +1383,13 @@ def test_change_points_invariant_under_constant_shift(seed, shift):
     shifted = FeatureSequence(values=values + np.asarray(shift))
     base = FeatureSequence(values=values)
     assert solve_fixed(compute_gram(shifted), 8).change_points == solve_fixed(compute_gram(base), 8).change_points
-    assert solve_fixed(table_for(shifted.values), 8).change_points == solve_fixed(table_for(values), 8).change_points
 
 
 def test_scale_equivariance_exact_power_of_two():
     rng = np.random.default_rng(31)
     values = rng.standard_normal((15, 4))
-    base = table_for(values)
-    scaled = table_for(2.0 * values)
-    assert np.array_equal(scaled.var_matrix, 4.0 * base.var_matrix)
+    base, scaled = gram_for(values), gram_for(2.0 * values)
+    assert np.array_equal(dense_table(scaled), 4.0 * dense_table(base))
     for m in (2, 4, 6):
         assert solve_fixed(scaled, m).change_points == solve_fixed(base, m).change_points
 
@@ -1405,9 +1418,8 @@ def test_streamed_solve_is_exactly_equivariant_to_powers_of_two(seed, k, n, segm
 def test_scale_equivariance_generic_constant():
     rng = np.random.default_rng(32)
     values = rng.standard_normal((18, 3))
-    base = table_for(values)
-    scaled = table_for(1.7 * values)
-    np.testing.assert_allclose(scaled.var_matrix, 1.7**2 * base.var_matrix, rtol=1e-9, atol=1e-12)
+    base, scaled = gram_for(values), gram_for(1.7 * values)
+    np.testing.assert_allclose(dense_table(scaled), 1.7**2 * dense_table(base), rtol=1e-9, atol=1e-12)
     for m in (2, 5):
         assert solve_fixed(scaled, m).change_points == solve_fixed(base, m).change_points
 
@@ -1416,8 +1428,8 @@ def test_scale_equivariance_generic_constant():
 def test_reversal_mirrors_change_points(seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((16, 3))
-    fwd = solve_fixed(table_for(values), 4)
-    rev = solve_fixed(table_for(values[::-1]), 4)
+    fwd = solve_fixed(gram_for(values), 4)
+    rev = solve_fixed(gram_for(values[::-1]), 4)
     assert rev.objective == pytest.approx(fwd.objective, abs=1e-9)
     mirrored = tuple(sorted(16 - t for t in fwd.change_points))
     assert rev.change_points == mirrored
@@ -1428,10 +1440,10 @@ def test_reversal_mirrors_change_points(seed):
 def test_dominates_uniform_split(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 30))
-    table = table_for(rng.standard_normal((n, 2)))
+    gram = gram_for(rng.standard_normal((n, 2)))
     m = int(rng.integers(1, n + 1))
     uniform_cps = tuple((i * n) // m for i in range(1, m))
-    assert solve_fixed(table, m).objective <= placement_objective(table, uniform_cps)
+    assert solve_fixed(gram, m).objective <= placement_objective(gram, uniform_cps)
 
 
 def test_segmentation_invariants():
@@ -1468,6 +1480,6 @@ def test_types_are_frozen():
     feats = FeatureSequence(values=TWO_BLOCKS)
     with pytest.raises(ValueError):
         feats.values[0, 0] = 9.0
-    table = table_for(TWO_BLOCKS)
+    gram = gram_for(TWO_BLOCKS)
     with pytest.raises(ValueError):
-        table.var_matrix[0, 1] = 9.0
+        gram.rows[0, 1] = 9.0
