@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolationError, UnsortedInputError
-from .segmentation import GramMatrix, Segmentation, _WindowGather, _dp_sum, solve_fixed, uniform_change_points
+from .segmentation import GramMatrix, Segmentation, _WindowGather, solve_fixed, uniform_change_points
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class BoundaryMetrics:
 
 
 def _check_increasing(name: str, values: Sequence[int]) -> list[int]:
-    out = [int(v) for v in values]
+    out = [operator.index(v) for v in values]
     for a, b in zip(out[:-1], out[1:]):
         if b <= a:
             raise UnsortedInputError(f"{name} boundaries must be strictly increasing")
@@ -78,25 +78,19 @@ class ObjectiveComparison(NamedTuple):
 
 
 def _uniform_gather(source: GramMatrix, ms: Sequence[int]) -> _WindowGather:
-    """``source``'s blocks, gathering the m windows of the equal-length split of [0, n) for each m of ``ms``."""
-    windows = []
-    for m in ms:
-        bounds = (0, *uniform_change_points(source.n, m), source.n)
-        windows += zip(bounds[:-1], bounds[1:])
-    return _WindowGather(source, windows)
+    """``source``'s blocks, gathering the equal-length split of [0, n) into m for each m of ``ms``."""
+    return _WindowGather(source, [uniform_change_points(source.n, m) for m in ms])
 
 
 def _against_uniform(segs: Sequence[Segmentation], gather: _WindowGather) -> list[ObjectiveComparison]:
     """Each segmentation's objective next to the equal-length split's at its m.
 
     ``gather`` is :func:`_uniform_gather` of the segmentations' counts, in order, after the solve
-    that read its blocks. Each split is summed as the DP sums (:func:`_dp_sum`). The optimum never
-    exceeds it (it is a placement the DP searches): failing means a bug.
+    that read its blocks; its totals are the DP's sums. The optimum never exceeds the split's (it is
+    a placement the DP searches): failing means a bug.
     """
-    scatters = iter(gather.scatters.tolist())
     comparisons = []
-    for seg in segs:
-        uniform = _dp_sum(islice(scatters, seg.m))
+    for seg, uniform in zip(segs, gather.totals()):
         if seg.objective > uniform:
             raise RuntimeError(
                 f"optimal objective {seg.objective!r} exceeds uniform split {uniform!r}; solver bug"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InstanceTooLargeError
-from .segmentation import GramMatrix, Segmentation, _check_feasible, _dp_sum, _window_scatters
+from .segmentation import GramMatrix, Segmentation, _check_feasible, _placement_totals
 
 #: Enumeration walks C(n-1, m-1) placements; refuse anything bigger.
 BRUTE_FORCE_MAX_N = 16
@@ -21,30 +21,20 @@ def _check_size(n: int) -> None:
 def brute_force(source: GramMatrix, m: int, min_segment_length: int = 1) -> Segmentation:
     """Globally optimal segmentation by enumerating every placement.
 
-    Each placement sums its windows' scatters, read off one pass of ``source``'s blocks,
-    as the DP sums them (:func:`_dp_sum`). Placements are visited in lexicographic order
-    and only strict improvements are kept, so ties go to the smallest change-point vector.
+    Every feasible placement's total is read off one pass of ``source``'s blocks
+    (:func:`_placement_totals`), summed as the DP sums it. Placements come in lexicographic
+    order and the first minimum wins, so ties go to the smallest change-point vector.
     """
     n = source.n
     _check_size(n)
     _check_feasible(n, m, min_segment_length)
-    windows = [(a, b) for b in range(1, n + 1) for a in range(b - min_segment_length + 1)]
-    scatter = dict(zip(windows, _window_scatters(source, windows)))
-    best_cps: tuple[int, ...] | None = None
-    best_cost = float("inf")
-    for combo in combinations(range(1, n), m - 1):
-        bounds = (0, *combo, n)
-        if any(b - a < min_segment_length for a, b in zip(bounds[:-1], bounds[1:])):
-            continue
-        cost = _dp_sum(scatter[w] for w in zip(bounds[:-1], bounds[1:]))
-        if cost < best_cost:
-            best_cost = cost
-            best_cps = combo
-    assert best_cps is not None  # feasibility was checked above
+    placements = [
+        cps
+        for cps in combinations(range(1, n), m - 1)
+        if all(b - a >= min_segment_length for a, b in zip((0, *cps), (*cps, n)))
+    ]
+    totals = _placement_totals(source, placements)
+    best = totals.index(min(totals))
     return Segmentation(
-        n=n,
-        m=m,
-        change_points=best_cps,
-        objective=best_cost,
-        min_segment_length=min_segment_length,
+        n=n, m=m, change_points=placements[best], objective=totals[best], min_segment_length=min_segment_length
     )

@@ -9,12 +9,13 @@ One scatter source feeds the DP and the KTS-versus-uniform comparison:
 ``compute_gram`` keeps the Gram matrix implicit in the kernel's input rows,
 and ``GramMatrix.blocks`` forms the kernel columns one block of 128 window
 end indices at a time and turns them into scatters by O(n) running sums of
-squared pairwise kernel distances: a solve needs O(m*n) memory. Chosen
-windows (``_WindowGather``) are read off the blocks of the solve they feed,
-so a comparison makes no pass of its own; ``placement_objective`` and the
-brute-force oracle read theirs off one pass of their own. No (n+1)^2 array
-is formed anywhere: every scatter is a block entry, so a window has the same
-bits whichever reader asks for it.
+squared pairwise kernel distances: a solve needs O(m*n) memory. Explicit
+splits (placements) have one reader, ``_WindowGather``: it checks their
+change points, reads their windows off the blocks of the solve it feeds, so
+a comparison or a forced count makes no pass of its own, and sums each as
+the DP does; ``placement_objective`` and the brute-force oracle run it over
+one pass of their own. No (n+1)^2 array is formed anywhere: every scatter
+is a block entry, so a window has the same bits whichever reader asks for it.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
 from cancelling away its precision.
@@ -28,19 +29,20 @@ from the lowest start that a row with ends left still reads, and
 ``solve_auto`` also stops DP rows whose cells all exceed the criterion
 total of a feasible split (branch and bound). Neither changes the optimum
 or its leftmost tie-breaks.
-DP rows are kept only for counts with a choice: a
-requested count m with m*min_len = n has one placement, every segment
-min_len long, so its windows are read off the solve's block pass and summed
-in the DP's order instead. Rows that would take more than half the
-machine's physical memory are refused before they are allocated.
+DP rows are kept only for counts with a choice: a requested count m with
+m*min_len = n has one placement, every segment min_len long, so its total
+is read off the solve's block pass instead. Rows that would take more than
+half the machine's physical memory are refused before they are allocated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._lazy import lazy_numpy
@@ -240,18 +242,29 @@ class GramMatrix:
 
 
 class _WindowGather:
-    """``source``'s blocks, passed on after the scatter of each window [a, b) of ``windows`` is read off.
+    """``source``'s blocks, passed on after the windows of each placement of ``placements`` are read off.
 
-    Each window is read from the block holding end b before a consumer (a solver) may
-    overwrite that block, so once every block has passed, ``scatters[k]`` holds the
-    full pass's scatter of ``windows[k]`` bit for bit. Every window must satisfy
-    0 <= a < b <= n; callers build them from valid change points.
+    A placement is the change points 0 < t_1 < ... < t_(m-1) < n of one split of [0, n). Each
+    of its windows [t_(i-1), t_i) is read from the block holding its end before a consumer (a
+    solver) may overwrite that block, so once every block has passed, ``totals()`` holds each
+    placement's total as the DP sums it (:func:`_dp_sum`), bit for bit. Raises
+    InvariantViolationError for a placement whose change points do not rise strictly inside (0, n),
+    and TypeError for one that is not an integer.
     """
 
-    def __init__(self, source: GramMatrix, windows: Sequence[tuple[int, int]]):
+    def __init__(self, source: GramMatrix, placements: Iterable[Sequence[int]]):
         self.source, self.n = source, source.n
+        windows, self._counts = [], []
+        for change_points in placements:
+            bounds = (0, *map(operator.index, change_points), self.n)
+            if not all(map(operator.lt, bounds, bounds[1:])):
+                raise InvariantViolationError(
+                    f"change points must increase strictly inside (0, {self.n}), got {list(bounds[1:-1])}"
+                )
+            windows += zip(bounds, bounds[1:])
+            self._counts.append(len(bounds) - 1)
         self._a, self._b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
-        self.scatters = np.empty(len(self._b))
+        self._scatters = np.empty(len(self._b))
 
     @property
     def trace(self) -> float:
@@ -266,8 +279,13 @@ class _WindowGather:
         for e0, c0, v in self.source.blocks(lambda: min(start(), unread[read])):
             first, read = np.searchsorted(b, (e0, e0 + len(v)), sorter=order)
             i = order[first:read]
-            self.scatters[i] = v[b[i] - e0, a[i] - c0]
+            self._scatters[i] = v[b[i] - e0, a[i] - c0]
             yield e0, c0, v
+
+    def totals(self) -> list[float]:
+        """Each placement's total, in order, once every block has passed."""
+        scatters = iter(self._scatters.tolist())
+        return [_dp_sum(islice(scatters, m)) for m in self._counts]
 
 
 def _prefetched(items: Iterator) -> Iterator:
@@ -348,7 +366,7 @@ class Segmentation:
     min_segment_length: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "change_points", tuple(int(t) for t in self.change_points))
+        object.__setattr__(self, "change_points", tuple(map(operator.index, self.change_points)))
         if self.n < 1 or self.m < 1:
             raise InvariantViolationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if self.min_segment_length < 1:
@@ -454,37 +472,32 @@ def build_variance_table(gram: GramMatrix) -> GramMatrix:
     return gram
 
 
-def _window_scatters(source: GramMatrix, windows: Sequence[tuple[int, int]]) -> list[float]:
-    """The scatter of each window [a, b) of ``windows``, off one pass of ``source``'s blocks of its own.
+def _placement_totals(source: GramMatrix, placements: Iterable[Sequence[int]]) -> list[float]:
+    """Each placement's total (see :class:`_WindowGather`), off one pass of ``source``'s blocks of its own.
 
     The pass starts each block at the lowest start of a window still unread, so it skips
-    the columns no window reads; each scatter is the full pass's, bit for bit.
+    the columns no window reads; each total is the DP's, bit for bit.
     """
-    gather = _WindowGather(source, windows)
+    gather = _WindowGather(source, placements)
     for _ in gather.blocks(lambda: source.n):
         pass
-    return gather.scatters.tolist()
+    return gather.totals()
 
 
 def placement_objective(source: GramMatrix, change_points: Sequence[int]) -> float:
     """Total scatter of an explicit placement, summed as the DP sums it (see :func:`_dp_sum`).
 
-    Reads the placement's windows off one block pass (:func:`_window_scatters`), so it holds
-    O(n) memory. Raises InvariantViolationError unless 0 < t_1 < ... < t_(m-1) < n.
+    Reads the placement's windows off one block pass (:func:`_placement_totals`), so it holds
+    O(n) memory. Raises InvariantViolationError unless 0 < t_1 < ... < t_(m-1) < n, and
+    TypeError for a change point that is not an integer.
     """
-    bounds = (0, *change_points, source.n)
-    windows = list(zip(bounds[:-1], bounds[1:]))
-    if any(a >= b for a, b in windows):
-        raise InvariantViolationError(
-            f"change points must increase strictly inside (0, {source.n}), got {list(change_points)}"
-        )
-    return _dp_sum(_window_scatters(source, windows))
+    return _placement_totals(source, [change_points])[0]
 
 
-def _split_total(gram: GramMatrix, bounds: Sequence[int]) -> float:
-    """An upper bound on the total scatter of the split at ``bounds`` (0, t_1, ..., n), off the rows.
+def _split_total(gram: GramMatrix, change_points: Sequence[int]) -> float:
+    """An upper bound on the total scatter of the split at ``change_points``, off the rows.
 
-    The windows [bounds[k], bounds[k+1]) are summed as the DP sums them
+    The windows [t_(i-1), t_i) with t_0 = 0 and t_m = n are summed as the DP sums them
     (:func:`_dp_sum`). For dot and cosine it is the total itself: each window's
     scatter is its rows' squared distances to their mean, O(n*d) in all. For
     rbf a window of at most ``_BLOCK_ENDS`` rows takes L less its kernel mass
@@ -493,7 +506,7 @@ def _split_total(gram: GramMatrix, bounds: Sequence[int]) -> float:
     distance over bw^2. Either rounds within the block arithmetic's bound of
     exact, not to its bits.
     """
-    x, kernel = gram.rows, gram.kernel
+    x, kernel, bounds = gram.rows, gram.kernel, (0, *change_points, gram.n)
 
     def scatter(a: int, b: int) -> float:
         if kernel.kind == "rbf" and b - a <= _BLOCK_ENDS:
@@ -534,8 +547,7 @@ def _check_feasible(n: int, m: int, min_len: int) -> None:
 
 def uniform_change_points(n: int, m: int) -> tuple[int, ...]:
     """Boundaries of the m near-equal segments: floor(i * n / m)."""
-    if m < 1 or m > n:
-        raise InfeasibleSegmentCountError(f"cannot cut {n} candidates into {m} uniform segments")
+    _check_feasible(n, m, 1)
     return tuple((i * n) // m for i in range(1, m))
 
 
@@ -673,9 +685,9 @@ def _solve_counts(
     for bit, and segmentation(m, **penalty) is the optimal split of [0, n) into m
     segments, read back from the rows. Only counts with a choice get DP rows. The
     forced count m = n / min_len, if requested, has one placement, every segment
-    min_len long: its windows are read off the rows' block pass and summed in
-    the DP's order (:func:`_dp_sum`). Asked alone, it takes the pass of row 0
-    alone, whose start bound is then its lowest unread window's.
+    min_len long: a :class:`_WindowGather` reads its total off the rows' block
+    pass. Asked alone, it takes the pass of row 0 alone, whose start bound is
+    then its lowest unread window's.
     ``ceilings`` may stop DP rows early (see :func:`_solve_rows`).
     """
     n, ms = table.n, set(ms)
@@ -683,17 +695,17 @@ def _solve_counts(
     _check_feasible(n, min(ms, default=1), min_len)
     _check_feasible(n, max(ms, default=0), min_len)
     forced = n // min_len if n % min_len == 0 and n // min_len in ms else None
-    choice = ms - {forced}
+    choice, forced_cps = ms - {forced}, range(min_len, n, min_len)
     if forced:
-        table = _WindowGather(table, [(t, t + min_len) for t in range(0, n, min_len)])
+        table = _WindowGather(table, [forced_cps])
     cost, back = _solve_rows(table, choice, min_len, ceilings)
     J = {m: float(cost[m, n]) for m in choice}
     if forced:
-        J[forced] = _dp_sum(table.scatters.tolist())
+        (J[forced],) = table.totals()
 
     def segmentation(m: int, **penalty) -> Segmentation:
         if m == forced:
-            cps = range(min_len, n, min_len)
+            cps = forced_cps
         else:
             cps, j = [], n
             for i in range(m, 1, -1):
@@ -762,7 +774,7 @@ def solve_auto(
     # additions) and the slack of the ceiling rule (two scatters of one
     # start, three additions) in units of the trace, 2*_rounding_margin;
     # the relative term covers adding and subtracting penalties.
-    split = _split_total(table, (0, *uniform_change_points(n, m_max), n))
+    split = _split_total(table, uniform_change_points(n, m_max))
     split += segment_count_penalty(m_max, n, penalty_weight)
     bound = split + 2 * _rounding_margin(table) + 8 * np.finfo(np.float64).eps * split
     ceilings = None
@@ -780,7 +792,7 @@ def solve_range(
     min_segment_length: int = 1,
 ) -> list[Segmentation]:
     """solve_fixed for several segment counts off a single DP sweep."""
-    ms = [int(m) for m in m_values]
+    ms = [operator.index(m) for m in m_values]
     if not ms:
         return []
     _, segmentation = _solve_counts(table, ms, min_segment_length)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ktseg import FeatureSequence, compute_gram
+from ktseg import FeatureSequence, compute_gram, segmentation
 
 
 def dense_table(gram):
@@ -25,3 +25,9 @@ def gram_for(values, kernel=None):
 
 def table_for(values, kernel=None):
     return dense_table(gram_for(values, kernel))
+
+
+def dense_total(table, change_points):
+    """The total of the split of [0, n) at ``change_points`` off a dense table, added as the DP adds it."""
+    bounds = (0, *change_points, len(table) - 1)
+    return segmentation._dp_sum(table[a, b] for a, b in zip(bounds[:-1], bounds[1:]))

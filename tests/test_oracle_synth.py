@@ -68,6 +68,15 @@ def test_brute_force_min_segment_length():
     assert seg.change_points == (3, 6)
 
 
+@pytest.mark.parametrize("m, min_len", [(1, 1), (8, 1), (16, 1), (1, 2), (5, 2), (8, 2)])
+def test_brute_force_at_its_cap_equals_the_dp(m, min_len):
+    # n = 16, where one pass holds the most windows: 6,435 placements of 8 segments, 51,480 windows.
+    values = np.random.default_rng(16).standard_normal((16, 3))
+    values[9:12] = values[8]  # tied rows
+    gram = compute_gram(FeatureSequence(values=values))
+    assert brute_force(gram, m, min_len) == solve_fixed(gram, m, min_len)
+
+
 @pytest.mark.parametrize("kernel", ["dot", "cosine", "rbf:0.5", "rbf:3"])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
 def test_brute_force_on_the_gram_equals_enumeration_over_the_dense_reference(kernel, min_len):
@@ -307,6 +316,13 @@ def test_metrics_unsorted_input():
         boundary_metrics([5, 5], [1], 0)
     with pytest.raises(UnsortedInputError):
         boundary_metrics([5], [3, 1], 0)
+
+
+def test_metrics_refuse_fractional_boundaries():
+    # Truncated, [1.5, 2.5] would be scored as [1, 2].
+    with pytest.raises(TypeError):
+        boundary_metrics([1.5, 2.5], [2], 0)
+    assert boundary_metrics(np.array([1, 2]), [2], 0).matched_count == 1
 
 
 def test_metrics_refuse_a_negative_tolerance():

@@ -137,7 +137,7 @@ def test_uniform_plan_midpoints():
 
 
 def test_uniform_plan_infeasible():
-    with pytest.raises(InfeasibleSegmentCountError):
+    with pytest.raises(InfeasibleSegmentCountError, match=r"^cannot cut 4 candidates into 5 segments of length >= 1$"):
         uniform_plan(4, 5, 1, timeline(4.0), 1.0)
 
 

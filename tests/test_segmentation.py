@@ -40,7 +40,7 @@ from ktseg import (
 )
 from ktseg import cli, metrics, segmentation
 
-from dense_reference import dense_table, gram_for, table_for
+from dense_reference import dense_table, dense_total, gram_for, table_for
 
 TWO_BLOCKS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 STEPS_1D = [[0.0], [1.0], [5.0], [6.0], [10.0], [11.0]]
@@ -127,7 +127,7 @@ def test_gram_forms_its_row_norms_once(kernel):
     with mock.patch.object(segmentation, "np", FailingCall("einsum", 1)):
         assert sum(1 for _ in gram.blocks()) == 3
         if kernel.kind == "rbf":
-            segmentation._split_total(gram, (0, 100, 200, 300))
+            segmentation._split_total(gram, (100, 200))
 
 
 def test_rbf_kernel_values_past_float64_are_zero():
@@ -478,10 +478,8 @@ def test_placement_objective_sums_the_dense_windows_bit_for_bit(seed, kernel, sc
     gram = gram_for(rng.standard_normal((n, d)) * scale, kernel)
     cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
     change_points = sorted(int(t) for t in cuts)
-    bounds = (0, *change_points, n)
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
-        table = dense_table(gram)
-        want = segmentation._dp_sum(table[a, b] for a, b in zip(bounds[:-1], bounds[1:]))
+        want = dense_total(dense_table(gram), change_points)
         assert placement_objective(gram, change_points).hex() == want.hex()
 
 
@@ -492,25 +490,36 @@ def test_placement_objective_sums_the_dense_windows_bit_for_bit(seed, kernel, sc
     block_ends=st.sampled_from([1, 3, 128]),
 )
 @settings(max_examples=120, deadline=None)
-def test_window_scatters_match_the_dense_table_bit_for_bit(seed, kernel, block_ends):
+def test_gathered_totals_match_the_dense_table_bit_for_bit(seed, kernel, block_ends):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 61)), int(rng.integers(1, 6))
     gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, d))), kernel)
-    starts = [int(a) for a in rng.integers(0, n, int(rng.integers(1, 30)))]
-    windows = [(a, int(rng.integers(a + 1, n + 1))) for a in starts]  # unsorted by end
-    windows += [(a, a + 1) for a in starts[:3]] + windows[:3]  # single frames and repeats
+    placements = [
+        sorted(int(t) for t in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        for _ in range(int(rng.integers(1, 8)))
+    ]
+    placements += [(), range(1, n)] + placements[:2]  # the whole input, single frames, and repeats
     with mock.patch.object(segmentation, "_BLOCK_ENDS", block_ends):
         table = dense_table(gram)
-        want = np.array([table[a, b] for a, b in windows])
-        gather = segmentation._WindowGather(gram, windows)
+        gather = segmentation._WindowGather(gram, placements)
         for _ in gather.blocks():
             pass
-    assert gather.scatters.tobytes() == want.tobytes()
+    want = [dense_total(table, change_points) for change_points in placements]
+    assert [t.hex() for t in gather.totals()] == [t.hex() for t in want]
 
 
-def test_window_gather_caps_the_start_at_its_lowest_unread_window():
+@pytest.mark.parametrize(
+    "placements, want",
+    [
+        # Every window ending past 256 starts at 256 or later, and past 512 at 512 or later.
+        ([(5, 256, 300, 512, 600), (256, 400, 512, 700)], [0, 256, 512]),
+        # Windows from 5 and from 300 are still unread after the first and second blocks.
+        ([(5, 300, 520), (256, 600)], [0, 0, 256]),
+    ],
+    ids=["tile-edges", "below-tile-edges"],
+)
+def test_window_gather_caps_the_start_at_its_lowest_unread_window(placements, want):
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(42).standard_normal((768, 3))))
-    windows = [(0, 5), (520, 700), (300, 500), (600, 768), (530, 690)]
     table = dense_table(gram)
     starts, scatter_blocks = [], segmentation.GramMatrix.blocks
 
@@ -519,29 +528,29 @@ def test_window_gather_caps_the_start_at_its_lowest_unread_window():
             starts.append(c0)
             yield e0, c0, v
 
-    gather = segmentation._WindowGather(gram, windows)
+    gather = segmentation._WindowGather(gram, placements)
     # Three blocks of 256 ends, under the four that start a worker, so each start is read in time.
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 256):
         with mock.patch.object(segmentation.GramMatrix, "blocks", recording):
             for _ in gather.blocks(lambda: 10**9):  # a consumer that reads no start itself
                 pass
-    # The lowest start of a window not yet read (0, then 300, then 520), capped at the block's
-    # last tile edge (0, 256, 512) and rounded down to a tile edge.
-    assert starts == [0, 256, 512], starts
-    want = np.array([table[a, b] for a, b in windows])
-    assert gather.scatters.tobytes() == want.tobytes()
+    # The lowest start of a window not yet read, capped at the block's last tile edge
+    # (0, 256, 512) and rounded down to a tile edge.
+    assert starts == want, starts
+    assert gather.totals() == [dense_total(table, change_points) for change_points in placements]
 
 
 def test_window_gather_reads_each_block_before_the_solve_overwrites_it():
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(8).standard_normal((40, 3))))
-    windows = [(a, b) for b in range(1, 41) for a in range(b)]  # every window, the short ones too
+    # Windows of 1, 2 and 3 frames, and longer ones, across every block.
+    placements = [range(1, 40), range(2, 40, 2), range(3, 40, 3), (10, 11, 30), (39,), ()]
     with mock.patch.object(segmentation, "_BLOCK_ENDS", 4):
         table = dense_table(gram)
-        gather = segmentation._WindowGather(gram, windows)
+        gather = segmentation._WindowGather(gram, placements)
         # min_segment_length=4 makes the DP write inf over every window shorter than 4.
         assert solve_range(gather, [3, 5], 4) == solve_range(gram, [3, 5], 4)
-    want = np.array([table[a, b] for a, b in windows])
-    assert gather.scatters.tobytes() == want.tobytes()
+    want = [dense_total(table, change_points) for change_points in placements]
+    assert [t.hex() for t in gather.totals()] == [t.hex() for t in want]
 
 
 def test_uniform_comparison_holds_less_than_a_quarter_table():
@@ -572,8 +581,7 @@ def test_objective_comparison_reads_the_uniform_windows_off_its_solve():
             with mock.patch.object(segmentation.GramMatrix, "blocks", counted):
                 comparison = metrics.objective_comparison(gram, m)
             assert len(passes) == 1, "the uniform windows must be read off the solve's own pass"
-            bounds = (0, *uniform_change_points(n, m), n)
-            want = segmentation._dp_sum(table[a, b] for a, b in zip(bounds[:-1], bounds[1:]))
+            want = dense_total(table, uniform_change_points(n, m))
             assert "%.17g" % comparison.uniform_objective == "%.17g" % want
             assert comparison.kts_objective == solve_fixed(gram, m).objective
     assert comparison == (0.0, 0.0)  # m = n: every frame its own window
@@ -673,7 +681,7 @@ def test_gather_failure_mid_stream_joins_the_worker():
         with mock.patch.object(segmentation, "np", FailingCall("searchsorted", 3)):
             # The held traceback keeps the gatherer's frame, so only closing the pass stops the worker.
             with pytest.raises(RuntimeError, match="np.searchsorted failed") as raised:
-                solve_fixed(segmentation._WindowGather(gram, [(0, 60)]), 5)
+                solve_fixed(segmentation._WindowGather(gram, [()]), 5)
     assert_workers_joined(baseline)
     assert raised.traceback
 
@@ -687,14 +695,14 @@ def test_single_block_solve_starts_no_thread():
 def test_block_readers_outside_a_solve_start_no_thread():
     # Four full blocks, where a solve prefetches its pass: every other reader runs on the calling thread.
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(4).standard_normal((512, 2))))
-    gather = segmentation._WindowGather(gram, [(0, 512), (100, 300)])
+    gather = segmentation._WindowGather(gram, [(), (100, 300)])
     with mock.patch.object(threading, "Thread", side_effect=AssertionError("thread started")):
         ends = [e0 for e0, _, _ in gram.blocks()]
         for _ in gather.blocks():
             pass
         table = dense_table(gram)
     assert ends == list(range(1, 513, 128))
-    assert gather.scatters.tolist() == [table[0, 512], table[100, 300]]
+    assert gather.totals() == [table[0, 512], dense_total(table, (100, 300))]
 
 
 @pytest.mark.parametrize("n, workers", [(511, 0), (512, 1)])
@@ -995,7 +1003,7 @@ def test_solve_auto_rejects_bad_weight():
 
 
 def parent_equal_split_total(gram, m):
-    """The equal-length split's total as ``solve_auto`` formed it before ``_split_total`` took bounds."""
+    """The equal-length split's total as ``solve_auto`` formed it before ``_split_total`` took a split."""
     x, n, kernel = gram.rows, gram.n, gram.kernel
     total = 0.0
     for a, b in zip([k * n // m for k in range(m)], [k * n // m for k in range(1, m + 1)]):
@@ -1017,7 +1025,7 @@ def parent_equal_split_total(gram, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 11, 64])  # n = 600: windows of 600 to 150 rows, then 120 to 9
 def test_split_total_of_the_uniform_split_keeps_its_bits(kernel, m):
     gram = compute_gram(FeatureSequence(values=np.random.default_rng(29).standard_normal((600, 6)) + 2.0), kernel)
-    split = segmentation._split_total(gram, (0, *uniform_change_points(600, m), 600))
+    split = segmentation._split_total(gram, uniform_change_points(600, m))
     assert split.hex() == parent_equal_split_total(gram, m).hex()
 
 
@@ -1474,6 +1482,28 @@ def test_segmentation_invariants():
 def test_segmentation_refuses_bad_lengths_and_penalties(field, value, message):
     with pytest.raises(InvariantViolationError, match=message):
         Segmentation(n=4, m=2, change_points=(2,), objective=0.0, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gram: placement_objective(gram, [1.5]),
+        lambda gram: solve_range(gram, [2.5]),
+        lambda gram: Segmentation(n=4, m=2, change_points=(2.7,), objective=0.0),
+    ],
+    ids=["placement_objective", "solve_range", "Segmentation"],
+)
+def test_fractional_change_points_and_counts_are_refused(call):
+    # Truncation would answer for another placement, count or split: [1], m = 2, (2,).
+    with pytest.raises(TypeError):
+        call(gram_for(TWO_BLOCKS))
+
+
+def test_numpy_integer_change_points_and_counts_are_taken():
+    gram = gram_for(TWO_BLOCKS)
+    assert Segmentation(n=4, m=2, change_points=np.array([2]), objective=0.0).change_points == (2,)
+    assert placement_objective(gram, np.array([2])) == placement_objective(gram, [2])
+    assert solve_range(gram, np.array([2])) == [solve_fixed(gram, 2)]
 
 
 def test_types_are_frozen():
