@@ -24,7 +24,7 @@ print("first three:", [(c.index, c.timestamp, c.source_frame) for c in candidate
 
 # Pretend a solver produced these boundaries (see demo 01 for the real
 # thing); segment lengths are deliberately uneven.
-segmentation = Segmentation(n=150, m=4, change_points=(18, 95, 130), objective=0.0)
+segmentation = Segmentation(n=150, change_points=(18, 95, 130), objective=0.0)
 
 plan = plan_samples(segmentation, k=4, timeline=timeline, rate_per_second=1.0)
 for seg in plan.segments:
@@ -36,5 +36,5 @@ for seg in plan.segments:
 schedule = plan.all_source_frames()
 print(f"total {len(schedule)} frames (m={plan.m} x k={plan.k}), non-decreasing schedule")
 
-baseline = uniform_plan(150, 4, 4, timeline, 1.0)
+baseline = uniform_plan(4, 4, timeline, 1.0)
 print("uniform baseline frames:", baseline.all_source_frames())

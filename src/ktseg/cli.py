@@ -163,7 +163,7 @@ def _cmd_segment(parser, args) -> int:
         )
     else:
         seg = solve_fixed(scatter, args.m, min_segment_length=args.min_seg_len)
-    io.write_segmentation(seg, args.out, kernel=args.kernel.tag)
+    io.write_segmentation(seg, args.out)
     print(f"m={seg.m} changePoints={list(seg.change_points)} objective={seg.objective:.17g}")
     return 0
 

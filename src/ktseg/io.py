@@ -4,8 +4,10 @@ Features travel either as headerless CSV (one row per frame) or as the
 binary container: magic ``KTSF``, little-endian u32 version (= 1), u64 n,
 u64 d, then n*d little-endian float32 values row-major. JSON documents
 carry a ``schema`` tag and print reals with 17 significant digits so
-parse(serialize(x)) is exact. All writes go to a temporary file in the
-same directory and are renamed into place.
+parse(serialize(x)) is exact. A segmentation document records the tag of
+the kernel its solve used, which the reader checks, and its ``m``, which
+must agree with its change points. All writes go to a temporary file in
+the same directory and are renamed into place.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ def _read_features_binary(path: Path) -> FeatureSequence:
 # Segmentation documents.
 
 
-def segmentation_document(seg: Segmentation, kernel: str = "dot") -> dict:
+def segmentation_document(seg: Segmentation) -> dict:
     return {
         "schema": SEGMENTATION_SCHEMA,
         "n": seg.n,
@@ -302,13 +304,13 @@ def segmentation_document(seg: Segmentation, kernel: str = "dot") -> dict:
         "objective": float(seg.objective),
         "penalty": float(seg.penalty),
         "penaltyWeight": float(seg.penalty_weight),
-        "kernel": kernel,
+        "kernel": seg.kernel,
         "minSegmentLength": seg.min_segment_length,
     }
 
 
-def write_segmentation(seg: Segmentation, path: str | Path, kernel: str = "dot") -> None:
-    atomic_write_text(path, render_document(segmentation_document(seg, kernel)))
+def write_segmentation(seg: Segmentation, path: str | Path) -> None:
+    atomic_write_text(path, render_document(segmentation_document(seg)))
 
 
 def read_segmentation(path: str | Path) -> Segmentation:
@@ -317,17 +319,21 @@ def read_segmentation(path: str | Path) -> Segmentation:
 
 def _segmentation_of(doc: dict, path: str | Path) -> Segmentation:
     try:
-        return Segmentation(
+        seg = Segmentation(
             n=int(_require(doc, "n", int, path)),
-            m=int(_require(doc, "m", int, path)),
             change_points=tuple(_list_of(doc, "changePoints", int, "integers", path)),
             objective=float(_require(doc, "objective", (int, float), path)),
             penalty=float(_require(doc, "penalty", (int, float), path)),
             penalty_weight=float(_require(doc, "penaltyWeight", (int, float), path)),
             min_segment_length=int(_require(doc, "minSegmentLength", int, path)),
+            kernel=_require(doc, "kernel", str, path),
         )
     except InvariantViolationError as exc:  # the reader's own errors already name the file
         raise InvariantViolationError(f"{path}: {exc}") from None
+    m = _require(doc, "m", int, path)
+    if m != seg.m:
+        raise InvariantViolationError(f"{path}: m is {m} but the document holds {seg.m} segments")
+    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ def _truth_of(doc: dict, path: str | Path) -> GroundTruth:
     n = int(_require(doc, "n", int, path))
     change_points = _list_of(doc, "changePoints", int, "integers", path)
     try:
-        Segmentation(n=n, m=len(change_points) + 1, change_points=change_points, objective=0.0)
+        Segmentation(n=n, change_points=change_points, objective=0.0)
     except InvariantViolationError as exc:
         raise InvariantViolationError(f"{path}: {exc}") from None
     return GroundTruth(n=n, change_points=tuple(change_points), seed=int(_require(doc, "seed", int, path)))

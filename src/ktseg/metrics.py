@@ -40,6 +40,7 @@ def boundary_metrics(
     Precision counts matched predictions, recall matched truths; an empty
     side scores 1.0 on its own ratio, so empty-vs-empty is a perfect 1/1/1.
     """
+    tolerance = operator.index(tolerance)
     if tolerance < 0:
         raise InvariantViolationError(f"tolerance must be nonnegative, got {tolerance}")
     pred = _check_increasing("predicted", predicted)
@@ -68,7 +69,7 @@ def boundary_metrics(
         recall=recall,
         f1=f1,
         matched_count=matched,
-        tolerance=int(tolerance),
+        tolerance=tolerance,
     )
 
 

@@ -36,5 +36,6 @@ def brute_force(source: GramMatrix, m: int, min_segment_length: int = 1) -> Segm
     totals = _placement_totals(source, placements)
     best = totals.index(min(totals))
     return Segmentation(
-        n=n, m=m, change_points=placements[best], objective=totals[best], min_segment_length=min_segment_length
+        n=n, change_points=placements[best], objective=totals[best], min_segment_length=min_segment_length,
+        kernel=source.kernel.tag,
     )

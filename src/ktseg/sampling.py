@@ -182,13 +182,8 @@ def plan_samples(
     return SamplingPlan(k=k, segments=tuple(segments))
 
 
-def uniform_plan(
-    n: int,
-    m: int,
-    k: int,
-    timeline: VideoTimeline,
-    rate_per_second: float,
-) -> SamplingPlan:
-    """The uniform-sampling baseline: plan_samples on equal-length segments."""
-    uniform = Segmentation(n=n, m=m, change_points=uniform_change_points(n, m), objective=0.0)
+def uniform_plan(m: int, k: int, timeline: VideoTimeline, rate_per_second: float) -> SamplingPlan:
+    """The uniform-sampling baseline: plan_samples on the timeline's candidates in m equal-length segments."""
+    n = _candidate_count(timeline, rate_per_second)
+    uniform = Segmentation(n=n, change_points=uniform_change_points(n, m), objective=0.0)
     return plan_samples(uniform, k, timeline, rate_per_second)

@@ -18,7 +18,9 @@ one pass of their own. No (n+1)^2 array is formed anywhere: every scatter
 is a block entry, so a window has the same bits whichever reader asks for it.
 Dot-kernel features are centred by their column mean first: the scatter
 is translation invariant, and centring keeps features far from the origin
-from cancelling away its precision.
+from cancelling away its precision. A solve's ``Segmentation`` takes m from
+its change points and its kernel tag from its source (a gather forwards its
+source's), so no caller states either.
 
 The DP takes O(m*n^2) time in the worst case. It skips segment starts
 that can no longer win (inequality pruning, as in SNIP): the kernel
@@ -41,7 +43,7 @@ import math
 import operator
 import os
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -242,7 +244,7 @@ class GramMatrix:
 
 
 class _WindowGather:
-    """``source``'s blocks, passed on after the windows of each placement of ``placements`` are read off.
+    """``source``'s blocks (and its n and kernel), passed on after each placement's windows are read off.
 
     A placement is the change points 0 < t_1 < ... < t_(m-1) < n of one split of [0, n). Each
     of its windows [t_(i-1), t_i) is read from the block holding its end before a consumer (a
@@ -253,17 +255,18 @@ class _WindowGather:
     """
 
     def __init__(self, source: GramMatrix, placements: Iterable[Sequence[int]]):
-        self.source, self.n = source, source.n
-        windows, self._counts = [], []
+        self.source, self.n, self.kernel = source, source.n, source.kernel
+        starts, ends, self._counts = [], [], []
         for change_points in placements:
             bounds = (0, *map(operator.index, change_points), self.n)
             if not all(map(operator.lt, bounds, bounds[1:])):
                 raise InvariantViolationError(
                     f"change points must increase strictly inside (0, {self.n}), got {list(bounds[1:-1])}"
                 )
-            windows += zip(bounds, bounds[1:])
+            starts += bounds[:-1]
+            ends += bounds[1:]
             self._counts.append(len(bounds) - 1)
-        self._a, self._b = np.array(windows, dtype=np.intp).reshape(-1, 2).T
+        self._a, self._b = np.fromiter(starts, np.intp), np.fromiter(ends, np.intp)
         self._scatters = np.empty(len(self._b))
 
     @property
@@ -351,30 +354,33 @@ def _dp_blocks(source: GramMatrix, min_len: int, start: Callable[[], int]) -> It
 class Segmentation:
     """Split of n candidates into m half-open segments.
 
-    change_points holds the m-1 interior boundaries t_1 < ... < t_(m-1);
-    segment i spans [t_(i-1), t_i) with t_0 = 0 and t_m = n. objective is
-    the total within-segment scatter; penalty is nonzero only when the
-    segment count was chosen automatically.
+    change_points holds the m-1 interior boundaries t_1 < ... < t_(m-1),
+    so m is len(change_points) + 1; segment i spans [t_(i-1), t_i) with
+    t_0 = 0 and t_m = n. objective is the total within-segment scatter;
+    penalty is nonzero only when the segment count was chosen automatically.
+    kernel is the tag (:meth:`KernelSpec.from_tag`) of the kernel the
+    solve scored with.
     """
 
     n: int
-    m: int
+    m: int = field(init=False)
     change_points: tuple[int, ...]
     objective: float
     penalty: float = 0.0
     penalty_weight: float = 0.0
     min_segment_length: int = 1
+    kernel: str = "dot"
 
     def __post_init__(self) -> None:
+        for name in ("n", "min_segment_length"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "change_points", tuple(map(operator.index, self.change_points)))
-        if self.n < 1 or self.m < 1:
-            raise InvariantViolationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        object.__setattr__(self, "m", len(self.change_points) + 1)
+        if self.n < 1:
+            raise InvariantViolationError(f"need n >= 1, got n={self.n}")
         if self.min_segment_length < 1:
             raise InvariantViolationError("minimum segment length must be >= 1")
-        if len(self.change_points) != self.m - 1:
-            raise InvariantViolationError(
-                f"expected {self.m - 1} change points for m={self.m}, got {len(self.change_points)}"
-            )
+        KernelSpec.from_tag(self.kernel)
         for a, b in self.segment_bounds():
             if b - a < self.min_segment_length:
                 raise InvariantViolationError(
@@ -416,7 +422,7 @@ def _check_precision(raw: np.ndarray) -> None:
     worst = raw.min()
     if not worst >= _PRECISION_FLOOR:  # NaN fails too
         raise PrecisionLossError(
-            f"scatter table lost precision (raw minimum {worst:.3e}); "
+            f"window scatters lost precision (raw minimum {worst:.3e}); "
             "rescale the features closer to unit magnitude"
         )
 
@@ -537,6 +543,7 @@ def segment_count_penalty(m: int, n: int, weight: float = 1.0) -> float:
 
 
 def _check_feasible(n: int, m: int, min_len: int) -> None:
+    n, m, min_len = operator.index(n), operator.index(m), operator.index(min_len)
     if min_len < 1:
         raise InfeasibleSegmentCountError(f"minimum segment length must be >= 1, got {min_len}")
     if m < 1 or m * min_len > n:
@@ -683,14 +690,15 @@ def _solve_counts(
 
     Returns (J, segmentation): J[m] equals cost[m, n] of :func:`_solve_rows` bit
     for bit, and segmentation(m, **penalty) is the optimal split of [0, n) into m
-    segments, read back from the rows. Only counts with a choice get DP rows. The
-    forced count m = n / min_len, if requested, has one placement, every segment
-    min_len long: a :class:`_WindowGather` reads its total off the rows' block
-    pass. Asked alone, it takes the pass of row 0 alone, whose start bound is
-    then its lowest unread window's.
+    segments, read back from the rows and tagged with ``table``'s kernel. Only
+    counts with a choice get DP rows. The forced count m = n / min_len, if
+    requested, has one placement, every segment min_len long: a
+    :class:`_WindowGather` reads its total off the rows' block pass. Asked
+    alone, it takes the pass of row 0 alone, whose start bound is then its
+    lowest unread window's.
     ``ceilings`` may stop DP rows early (see :func:`_solve_rows`).
     """
-    n, ms = table.n, set(ms)
+    n, ms, kernel = table.n, set(ms), table.kernel.tag
     # Feasible counts form 1..n // min_len, so the extremes check them all; none asked fails as 0.
     _check_feasible(n, min(ms, default=1), min_len)
     _check_feasible(n, max(ms, default=0), min_len)
@@ -713,7 +721,7 @@ def _solve_counts(
                 cps.append(j)
             cps.reverse()
         return Segmentation(
-            n=n, m=m, change_points=cps, objective=J[m], min_segment_length=min_len, **penalty
+            n=n, change_points=cps, objective=J[m], min_segment_length=min_len, kernel=kernel, **penalty
         )
 
     return J, segmentation

@@ -178,17 +178,17 @@ def test_criterion_6_worked_example_fixtures():
     details.append(f"tie cp={list(tie.change_points)}")
 
     tl = VideoTimeline(duration_seconds=4.0, source_fps=30.0)
-    plan = plan_samples(Segmentation(n=4, m=2, change_points=(2,), objective=0.0), 2, tl, 1.0)
+    plan = plan_samples(Segmentation(n=4, change_points=(2,), objective=0.0), 2, tl, 1.0)
     ok &= plan.all_source_frames() == [0, 30, 60, 90]
     plan_k1 = plan_samples(
-        Segmentation(n=5, m=1, change_points=(), objective=0.0),
+        Segmentation(n=5, change_points=(), objective=0.0),
         1,
         VideoTimeline(duration_seconds=5.0, source_fps=30.0),
         1.0,
     )
     ok &= plan_k1.segments[0].sampled_candidates == (2,)
     plan_k4 = plan_samples(
-        Segmentation(n=2, m=1, change_points=(), objective=0.0),
+        Segmentation(n=2, change_points=(), objective=0.0),
         4,
         VideoTimeline(duration_seconds=2.0, source_fps=30.0),
         1.0,
@@ -240,7 +240,6 @@ def test_criterion_8_round_trips(tmp_path):
         cps = tuple(sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False).tolist())) if m > 1 else ()
         seg = Segmentation(
             n=n,
-            m=m,
             change_points=cps,
             objective=float(rng.uniform(0, 1e6)),
             penalty=float(rng.uniform(0, 10)),

@@ -68,6 +68,17 @@ def test_segment_fixed(blocks_csv, tmp_path):
     assert doc["kernel"] == "dot"
 
 
+@pytest.mark.parametrize("kernel", ["cosine", "rbf:0.7"])
+def test_segment_writes_what_a_library_write_of_its_solve_writes(blocks_csv, tmp_path, kernel):
+    # The kernel's tag comes with the solve, so the library needs no kernel argument to record it.
+    out, want = tmp_path / "seg.json", tmp_path / "want.json"
+    assert cli.main(["segment", "--features", str(blocks_csv), "--kernel", kernel, "--m", "2", "--out", str(out)]) == 0
+    gram = compute_gram(io.read_features(blocks_csv), segmentation.KernelSpec.from_tag(kernel))
+    write_segmentation(segmentation.solve_fixed(gram, 2), want)
+    assert out.read_bytes() == want.read_bytes()
+    assert json.loads(out.read_text())["kernel"] == kernel
+
+
 def test_segment_auto(blocks_csv, tmp_path):
     out = tmp_path / "seg.json"
     res = run_cli(
@@ -427,7 +438,7 @@ def test_plan_candidate_mismatch(blocks_csv, tmp_path):
 
 def test_plan_count_mismatch_builds_no_timeline(tmp_path, monkeypatch, capsys):
     seg_path = tmp_path / "seg.json"
-    write_segmentation(Segmentation(n=100, m=2, change_points=(50,), objective=0.0), seg_path)
+    write_segmentation(Segmentation(n=100, change_points=(50,), objective=0.0), seg_path)
 
     def whole_timeline(*args):
         raise AssertionError("plan placed every candidate of the timeline")
@@ -657,13 +668,34 @@ def test_synth_refuses_ktsf_values_past_float32(tmp_path):
 
 def test_eval_reads_each_document_once(tmp_path, monkeypatch, capsys):
     seg_path, truth_path = tmp_path / "seg.json", tmp_path / "truth.json"
-    write_segmentation(Segmentation(n=10, m=2, change_points=(5,), objective=0.0), seg_path)
+    write_segmentation(Segmentation(n=10, change_points=(5,), objective=0.0), seg_path)
     write_truth(GroundTruth(n=10, change_points=(4,), seed=0), truth_path)
     loads, load_json = [], io._load_json
     monkeypatch.setattr(io, "_load_json", lambda path, *schemas: loads.append(path) or load_json(path, *schemas))
     assert cli.main(["eval", "--pred", str(seg_path), "--truth", str(truth_path), "--tolerance", "1"]) == 0
     assert loads == [str(seg_path), str(truth_path)]
     assert json.loads(capsys.readouterr().out)["f1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("kernel"), "missing field 'kernel'"),
+        (lambda doc: doc.update(kernel=42), "field 'kernel' has the wrong type"),
+        (lambda doc: doc.update(kernel="banana"), "unknown kernel tag 'banana'"),
+        (lambda doc: doc.update(m=2, changePoints=[]), "m is 2 but the document holds 1 segments"),
+    ],
+    ids=["no kernel", "numeric kernel", "unknown kernel", "m=2, no change points"],
+)
+def test_eval_refuses_a_segmentation_with_a_bad_kernel_or_count(tmp_path, capsys, edit, message):
+    seg_path, truth_path = tmp_path / "seg.json", tmp_path / "truth.json"
+    write_segmentation(Segmentation(n=10, change_points=(5,), objective=0.0), seg_path)
+    write_truth(GroundTruth(n=10, change_points=(4,), seed=0), truth_path)
+    doc = json.loads(seg_path.read_text())
+    edit(doc)
+    seg_path.write_text(json.dumps(doc))
+    assert cli.main(["eval", "--pred", str(seg_path), "--truth", str(truth_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {seg_path}: {message}\n")
 
 
 def test_eval_perfect_prediction(tmp_path):
@@ -748,7 +780,7 @@ def test_oracle_check_refuses_large_instances_before_solving(tmp_path, monkeypat
 
 def test_oracle_check_reports_a_mismatch(blocks_csv, monkeypatch, capsys):
     def other(gram, m, min_segment_length):
-        return Segmentation(n=gram.n, m=m, change_points=(1,), objective=0.5)
+        return Segmentation(n=gram.n, change_points=(1,), objective=0.5)
 
     monkeypatch.setattr(cli, "brute_force", other)
     assert cli.main(["oracle-check", "--features", str(blocks_csv), "--m", "2"]) == 1

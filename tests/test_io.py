@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ktseg import (
     FeatureSequence,
     InvariantViolationError,
+    KernelSpec,
     MalformedHeaderError,
     NonFiniteValueError,
     RaggedRowsError,
@@ -24,6 +25,10 @@ from ktseg import (
     SchemaMismatchError,
     SegmentSamples,
     Segmentation,
+    brute_force,
+    compute_gram,
+    solve_auto,
+    solve_fixed,
 )
 from ktseg import io as ktseg_io
 from ktseg.io import (
@@ -342,16 +347,16 @@ def test_write_features_refuses_unknown_extension(tmp_path):
 
 def test_segmentation_round_trip(tmp_path):
     seg = Segmentation(
-        n=4, m=2, change_points=(2,), objective=0.0, penalty=0.81, penalty_weight=1.0
+        n=4, change_points=(2,), objective=0.0, penalty=0.81, penalty_weight=1.0, kernel="cosine"
     )
     path = tmp_path / "seg.json"
-    write_segmentation(seg, path, kernel="cosine")
+    write_segmentation(seg, path)
     assert read_segmentation(path) == seg
     assert '"kernel": "cosine"' in path.read_text()
 
 
 def test_segmentation_seventeen_digit_reals(tmp_path):
-    seg = Segmentation(n=5, m=2, change_points=(3,), objective=0.1)
+    seg = Segmentation(n=5, change_points=(3,), objective=0.1)
     path = tmp_path / "seg.json"
     write_segmentation(seg, path)
     assert "0.10000000000000001" in path.read_text()
@@ -366,7 +371,7 @@ def test_segmentation_unknown_schema(tmp_path):
 
 
 def test_segmentation_decreasing_points_rejected(tmp_path):
-    seg = Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0)
+    seg = Segmentation(n=6, change_points=(2, 4), objective=1.0)
     path = tmp_path / "seg.json"
     write_segmentation(seg, path)
     text = path.read_text().replace("2,\n", "3,\n").replace("4\n", "2\n")
@@ -380,6 +385,61 @@ def test_segmentation_missing_field(tmp_path):
     path.write_text('{"schema": "kts-segmentation/1", "n": 4}')
     with pytest.raises(SchemaMismatchError, match="missing"):
         read_segmentation(path)
+
+
+def segmentation_doc(**fields):
+    """A valid segmentation document with ``fields`` replaced; a field given as None is left out."""
+    doc = {"schema": "kts-segmentation/1", "n": 6, "m": 3, "changePoints": [2, 4], "objective": 1.0,
+           "penalty": 0.0, "penaltyWeight": 0.0, "kernel": "dot", "minSegmentLength": 1, **fields}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"kernel": None}, SchemaMismatchError, "missing field 'kernel'"),
+        ({"kernel": 42}, SchemaMismatchError, "field 'kernel' has the wrong type"),
+        ({"kernel": "banana"}, InvariantViolationError, "unknown kernel tag 'banana'"),
+        ({"kernel": "rbf:0"}, InvariantViolationError,
+         "rbf kernel requires a positive bandwidth with 2*bw^2 finite and nonzero"),
+        ({"m": 2, "changePoints": []}, InvariantViolationError, "m is 2 but the document holds 1 segments"),
+        ({"m": 4}, InvariantViolationError, "m is 4 but the document holds 3 segments"),
+    ],
+    ids=["no kernel", "numeric kernel", "unknown kernel", "zero rbf bandwidth", "m=2, no change points",
+         "m=4, two change points"],
+)
+def test_segmentation_reader_refuses_a_bad_kernel_or_count(tmp_path, fields, error, message):
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps(segmentation_doc()))
+    assert read_segmentation(path) == Segmentation(n=6, change_points=(2, 4), objective=1.0)
+    path.write_text(json.dumps(segmentation_doc(**fields)))
+    with pytest.raises(error) as err:
+        read_segmentation(path)
+    assert str(err.value) == f"{path}: {message}"  # one line, naming the file
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.one_of(
+        st.sampled_from([KernelSpec(), KernelSpec(kind="cosine")]),
+        st.floats(0.1, 10.0).map(lambda bw: KernelSpec(kind="rbf", bandwidth=bw)),
+    ),
+    min_len=st.integers(1, 3),
+    solve=st.sampled_from([solve_fixed, solve_auto, brute_force]),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_solve_round_trips_with_its_kernel(tmp_path_factory, seed, kernel, min_len, solve):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(min_len, 17))
+    gram = compute_gram(FeatureSequence(values=rng.standard_normal((n, int(rng.integers(1, 4))))), kernel)
+    seg = solve(gram, int(rng.integers(1, n // min_len + 1)), min_segment_length=min_len)
+    root = tmp_path_factory.mktemp("solve")
+    first, second = root / "first.json", root / "second.json"
+    write_segmentation(seg, first)
+    back = read_segmentation(first)
+    write_segmentation(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert back == seg and back.kernel == kernel.tag
 
 
 def plan_with_segment(**fields):
@@ -492,7 +552,7 @@ def huge_timestamp(doc):
         (read_plan, lambda path: write_plan(make_plan(), path), nan_timestamp, "NaN"),
         (
             read_segmentation,
-            lambda path: write_segmentation(Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0), path),
+            lambda path: write_segmentation(Segmentation(n=6, change_points=(2, 4), objective=1.0), path),
             infinite_objective,
             "Infinity",
         ),
@@ -523,7 +583,7 @@ def test_truth_round_trip(tmp_path):
 
 def test_read_boundaries_from_segmentation_or_truth(tmp_path):
     seg_path, truth_path, plan_path = tmp_path / "seg.json", tmp_path / "truth.json", tmp_path / "plan.json"
-    write_segmentation(Segmentation(n=6, m=3, change_points=(2, 4), objective=1.0), seg_path)
+    write_segmentation(Segmentation(n=6, change_points=(2, 4), objective=1.0), seg_path)
     write_truth(GroundTruth(n=20, change_points=(4, 11), seed=77), truth_path)
     write_plan(make_plan(), plan_path)
     assert read_boundaries(seg_path) == (6, [2, 4])
@@ -537,7 +597,7 @@ def test_read_boundaries_from_segmentation_or_truth(tmp_path):
     [
         ({"schema": "kts-segmentation/1", "n": 10, "m": 5, "changePoints": [3, 6], "objective": -1.0,
           "penalty": 0.0, "penaltyWeight": 0.0, "kernel": "dot", "minSegmentLength": 4},
-         InvariantViolationError, "expected 4 change points for m=5, got 2"),
+         InvariantViolationError, "segment [0, 3) shorter than minimum length 4"),
         ({"schema": "kts-truth/1", "n": 10, "changePoints": [3, 6]}, SchemaMismatchError, "missing field 'seed'"),
     ],
     ids=["corrupt segmentation", "truth without seed"],
@@ -668,7 +728,6 @@ def random_segmentation(draw):
         cps = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1))))
     return Segmentation(
         n=n,
-        m=m,
         change_points=cps,
         objective=draw(finite_nonneg),
         penalty=draw(finite_nonneg),

@@ -325,6 +325,13 @@ def test_metrics_refuse_fractional_boundaries():
     assert boundary_metrics(np.array([1, 2]), [2], 0).matched_count == 1
 
 
+def test_metrics_refuse_a_fractional_tolerance():
+    # Truncated, 1.5 would score and report tolerance 1.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        boundary_metrics([5], [6], 1.5)
+    assert boundary_metrics([5], [6], np.int64(1)).tolerance == 1
+
+
 def test_metrics_refuse_a_negative_tolerance():
     with pytest.raises(InvariantViolationError, match="tolerance must be nonnegative, got -1"):
         boundary_metrics([5], [5], -1)
@@ -393,7 +400,7 @@ def test_comparison_refuses_an_objective_above_the_uniform_split():
     gather = metrics._uniform_gather(compute_gram(FeatureSequence(values=[[1, 0], [1, 0], [1, 0], [0, 1]])), [2])
     for _ in gather.blocks():
         pass
-    seg = segmentation.Segmentation(n=4, m=2, change_points=(1,), objective=2.0)
+    seg = segmentation.Segmentation(n=4, change_points=(1,), objective=2.0)
     with pytest.raises(RuntimeError, match=r"^optimal objective 2\.0 exceeds uniform split 1\.0; solver bug$"):
         metrics._against_uniform([seg], gather)
 

@@ -24,7 +24,7 @@ def timeline(duration, fps=30.0):
 
 
 def seg_of(n, cps):
-    return Segmentation(n=n, m=len(cps) + 1, change_points=tuple(cps), objective=0.0)
+    return Segmentation(n=n, change_points=tuple(cps), objective=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +127,18 @@ def test_uniform_change_points_floor_rule():
 
 
 def test_uniform_plan_matches_blocks():
-    plan = uniform_plan(4, 2, 2, timeline(4.0), 1.0)
+    plan = uniform_plan(2, 2, timeline(4.0), 1.0)
     assert [s.sampled_candidates for s in plan.segments] == [(0, 1), (2, 3)]
 
 
 def test_uniform_plan_midpoints():
-    plan = uniform_plan(6, 2, 1, timeline(6.0), 1.0)
+    plan = uniform_plan(2, 1, timeline(6.0), 1.0)
     assert [s.sampled_candidates for s in plan.segments] == [(1,), (4,)]
 
 
 def test_uniform_plan_infeasible():
     with pytest.raises(InfeasibleSegmentCountError, match=r"^cannot cut 4 candidates into 5 segments of length >= 1$"):
-        uniform_plan(4, 5, 1, timeline(4.0), 1.0)
+        uniform_plan(5, 1, timeline(4.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def test_plan_picks_match_the_candidate_timeline(case, fps):
 def test_plan_reduces_to_uniform_at_m_equals_n(n, k):
     tl = VideoTimeline(duration_seconds=float(n), source_fps=12.0)
     kts = plan_samples(seg_of(n, tuple(range(1, n))), k, tl, 1.0)
-    uniform = uniform_plan(n, n, k, tl, 1.0)
+    uniform = uniform_plan(n, k, tl, 1.0)
     assert kts == uniform
 
 

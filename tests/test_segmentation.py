@@ -273,7 +273,7 @@ def test_precision_loss_raises_from_both_sources():
     feats = FeatureSequence(values=jittered_shots(np.random.default_rng(9), 4, 4) * 1e4)
     with pytest.raises(PrecisionLossError) as dense:
         dense_table(compute_gram(feats))
-    with pytest.raises(PrecisionLossError):
+    with pytest.raises(PrecisionLossError, match=r"^window scatters lost precision .*; rescale the features"):
         solve_fixed(compute_gram(feats), 2)
     assert isinstance(dense.value, KtsError) and isinstance(dense.value, FloatingPointError)
 
@@ -1456,14 +1456,12 @@ def test_dominates_uniform_split(seed):
 
 def test_segmentation_invariants():
     with pytest.raises(InvariantViolationError):
-        Segmentation(n=4, m=2, change_points=(3, 2), objective=0.0)
+        Segmentation(n=4, change_points=(3, 2), objective=0.0)
     with pytest.raises(InvariantViolationError):
-        Segmentation(n=4, m=2, change_points=(), objective=0.0)
+        Segmentation(n=4, change_points=(4,), objective=0.0)
     with pytest.raises(InvariantViolationError):
-        Segmentation(n=4, m=2, change_points=(4,), objective=0.0)
-    with pytest.raises(InvariantViolationError):
-        Segmentation(n=4, m=2, change_points=(2,), objective=-1.0)
-    seg = Segmentation(n=4, m=2, change_points=(2,), objective=0.0)
+        Segmentation(n=4, change_points=(2,), objective=-1.0)
+    seg = Segmentation(n=4, change_points=(2,), objective=0.0)
     assert seg.segment_bounds() == ((0, 2), (2, 4))
 
 
@@ -1481,7 +1479,7 @@ def test_segmentation_invariants():
 )
 def test_segmentation_refuses_bad_lengths_and_penalties(field, value, message):
     with pytest.raises(InvariantViolationError, match=message):
-        Segmentation(n=4, m=2, change_points=(2,), objective=0.0, **{field: value})
+        Segmentation(n=4, change_points=(2,), objective=0.0, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -1489,7 +1487,7 @@ def test_segmentation_refuses_bad_lengths_and_penalties(field, value, message):
     [
         lambda gram: placement_objective(gram, [1.5]),
         lambda gram: solve_range(gram, [2.5]),
-        lambda gram: Segmentation(n=4, m=2, change_points=(2.7,), objective=0.0),
+        lambda gram: Segmentation(n=4, change_points=(2.7,), objective=0.0),
     ],
     ids=["placement_objective", "solve_range", "Segmentation"],
 )
@@ -1499,9 +1497,29 @@ def test_fractional_change_points_and_counts_are_refused(call):
         call(gram_for(TWO_BLOCKS))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gram: Segmentation(n=4.5, change_points=(2,), objective=0.0),
+        lambda gram: Segmentation(n=4, change_points=(2,), objective=0.0, min_segment_length=1.5),
+        lambda gram: segmentation._check_feasible(4, 2.5, 1),
+        lambda gram: brute_force(gram, 2, 1.5),
+        lambda gram: segmentation.uniform_change_points(4.5, 2),
+    ],
+    ids=["Segmentation n", "Segmentation min_segment_length", "_check_feasible m", "brute_force min_segment_length",
+         "uniform_change_points n"],
+)
+def test_fractional_counts_and_lengths_are_refused(call):
+    # Stored as given, a length of 1.5 would describe a segmentation no solver can produce.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(gram_for(TWO_BLOCKS))
+
+
 def test_numpy_integer_change_points_and_counts_are_taken():
     gram = gram_for(TWO_BLOCKS)
-    assert Segmentation(n=4, m=2, change_points=np.array([2]), objective=0.0).change_points == (2,)
+    assert Segmentation(n=4, change_points=np.array([2]), objective=0.0).change_points == (2,)
+    seg = Segmentation(n=np.int64(4), change_points=(2,), objective=0.0, min_segment_length=np.int64(2))
+    assert (type(seg.n), type(seg.min_segment_length)) == (int, int)
     assert placement_objective(gram, np.array([2])) == placement_objective(gram, [2])
     assert solve_range(gram, np.array([2])) == [solve_fixed(gram, 2)]
 
